@@ -22,6 +22,9 @@ type PacketKey struct {
 // The zero value is not usable; construct with NewDuplicateFilter.
 type DuplicateFilter struct {
 	byOrigin map[int]*seqBits
+	// spare holds zeroed bitsets of origins dropped by Reset, handed to the
+	// next new origins so a pooled filter stops allocating once warm.
+	spare []*seqBits
 	// cache of the most recently used origin's bitset.
 	lastOrigin int
 	last       *seqBits
@@ -68,7 +71,12 @@ func (f *DuplicateFilter) bits(origin int, create bool) *seqBits {
 	}
 	b := f.byOrigin[origin]
 	if b == nil && create {
-		b = &seqBits{}
+		if n := len(f.spare); n > 0 {
+			b = f.spare[n-1]
+			f.spare = f.spare[:n-1]
+		} else {
+			b = &seqBits{}
+		}
 		f.byOrigin[origin] = b
 	}
 	if b != nil {
@@ -97,15 +105,18 @@ func (f *DuplicateFilter) MarkSeen(key PacketKey) bool {
 // Len returns the number of distinct broadcasts recorded.
 func (f *DuplicateFilter) Len() int { return f.count }
 
-// Reset clears the filter for reuse across simulation runs. Per-origin
-// bitsets are zeroed but kept: a pooled filter that sees the same origins
-// again (each netsim run has one broadcast source) marks them with no
-// allocation, where dropping the map entries would rebuild a bitset per
-// origin per run.
+// Reset clears the filter for reuse across simulation runs. Its cost is
+// proportional to the origins marked since the last Reset, not to every
+// origin the filter has ever seen: those bitsets are zeroed and moved to a
+// spare list, and the next run's origins take them over. A pooled filter
+// whose runs each pick a different broadcast source therefore keeps only
+// one run's worth of bitsets and marks with no allocation.
 func (f *DuplicateFilter) Reset() {
 	for _, b := range f.byOrigin {
 		clear(b.words)
+		f.spare = append(f.spare, b)
 	}
+	clear(f.byOrigin)
 	f.last = nil
 	f.count = 0
 }

@@ -48,6 +48,53 @@ func TestDuplicateFilterReset(t *testing.T) {
 	}
 }
 
+// TestDuplicateFilterResetKeepsOneRun models a pooled filter across runs
+// that each pick a new broadcast source: after Reset it holds only the
+// bitsets of the last run, reuses them for the next run's origins without
+// allocating, and answers Seen/MarkSeen/Len exactly like a fresh filter.
+func TestDuplicateFilterResetKeepsOneRun(t *testing.T) {
+	f := NewDuplicateFilter()
+	const runs, perRun = 200, 3
+	for run := 0; run < runs; run++ {
+		f.Reset()
+		if f.Len() != 0 {
+			t.Fatalf("run %d: len after reset = %d", run, f.Len())
+		}
+		if run > 0 {
+			if got := len(f.byOrigin) + len(f.spare); got != perRun {
+				t.Fatalf("run %d: filter holds %d bitsets, want one run's %d", run, got, perRun)
+			}
+			prev := PacketKey{Origin: (run - 1) * perRun, Seq: 0}
+			if f.Seen(prev) {
+				t.Fatalf("run %d: key %v of the previous run survived reset", run, prev)
+			}
+		}
+		for o := 0; o < perRun; o++ {
+			for seq := uint64(0); seq < 100; seq += 7 {
+				key := PacketKey{Origin: run*perRun + o, Seq: seq}
+				if f.Seen(key) || !f.MarkSeen(key) || f.MarkSeen(key) || !f.Seen(key) {
+					t.Fatalf("run %d: first sight of %v misreported", run, key)
+				}
+			}
+		}
+		if want := perRun * 15; f.Len() != want {
+			t.Fatalf("run %d: len = %d, want %d", run, f.Len(), want)
+		}
+		if f.Seen(PacketKey{Origin: run*perRun + 1, Seq: 1}) {
+			t.Fatalf("run %d: unmarked seq reported seen", run)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		f.Reset()
+		for o := 0; o < perRun; o++ {
+			f.MarkSeen(PacketKey{Origin: 1000 + o, Seq: 5})
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm filter allocates %.1f times per run", allocs)
+	}
+}
+
 // Property: MarkSeen returns true exactly once per distinct key.
 func TestPropertyMarkSeenOnce(t *testing.T) {
 	check := func(keys []uint16) bool {

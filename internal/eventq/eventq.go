@@ -1,112 +1,113 @@
 // Package eventq implements the pending-event set of a discrete-event
-// simulator: an indexed binary min-heap of timed events supporting O(log n)
-// push, pop, and cancellation.
+// simulator: a flat 4-ary min-heap of timed callbacks with O(log n) push
+// and pop.
 //
-// Events live in a pooled slab indexed by small integers; firing or
-// cancelling an event returns its slot to a free list, so steady-state
-// simulation (including recurring timers that fire and reschedule forever)
-// performs no per-event heap allocation. Callers hold Handle values —
-// generation-stamped indices — instead of pointers, which makes stale
-// handles (an event that already fired, or whose slot was reused) cheap and
-// safe to detect. The ordering keys (time, sequence) are stored inline in
-// the heap entries, so sift comparisons stay within one cache-friendly
-// array instead of chasing per-event pointers.
+// Each heap entry holds its ordering keys (time, insertion sequence) and
+// its callback inline, so a sift moves whole entries within one array and
+// never chases a pointer. Sifts carry the moving entry in a hole and write
+// it once at its final position. The heap array is kept across Pop and
+// Reset, so a simulation whose pending set has reached its working size
+// schedules and fires events with no heap allocation. Events cannot be
+// cancelled: the simulators never withdraw a scheduled event, they let its
+// callback notice that it is no longer relevant.
 //
-// Two events with equal timestamps are ordered by insertion sequence, which
-// makes simulation runs fully deterministic: the same schedule of calls
-// always dequeues in the same order regardless of heap internals.
+// Two events with equal timestamps are ordered by insertion sequence.
+// (time, sequence) is a total order, so the same schedule of calls always
+// dequeues in the same order whatever the heap's shape, which makes
+// simulation runs fully deterministic.
 package eventq
 
 import "time"
 
-// Handle identifies one scheduled event. The zero Handle is invalid (never
-// pending). Handles are values: they can be copied, compared, and retained
-// after the event fires without keeping any memory alive.
-type Handle struct {
-	idx int32  // slot index + 1, so the zero Handle is invalid
-	gen uint32 // slot generation at scheduling time
-}
+// arity is the heap's branching factor. A 4-ary heap is half as deep as a
+// binary one, and a node's children share a cache line or two.
+const arity = 4
 
-// Valid reports whether h was ever issued by a Push (the zero Handle is
-// not). A valid handle may still be stale; use Queue.Pending.
-func (h Handle) Valid() bool { return h.idx != 0 }
-
-// slot is one pooled event record. Free slots are chained through the
-// queue's free list; live slots record their heap position.
-type slot struct {
-	fn   func()
-	gen  uint32
-	heap int32 // position in q.heap, -1 while free
-}
-
-// entry is one heap element: the ordering keys plus the owning slot.
+// entry is one pending event: its ordering keys and its callback.
 type entry struct {
 	at  time.Duration
 	seq uint64
-	idx int32
+	fn  func()
 }
 
-// Queue is a min-heap of events ordered by (At, insertion sequence).
+// before reports whether e fires ahead of o.
+func (e *entry) before(o *entry) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
+
+// Queue is a min-heap of events ordered by (time, insertion sequence).
 // The zero value is ready to use. Queue is not safe for concurrent use;
 // the simulation kernel is single-threaded by design.
 type Queue struct {
-	slots   []slot
 	heap    []entry
-	free    []int32 // recycled slot indices (LIFO)
 	nextSeq uint64
 }
 
 // Len returns the number of pending events.
 func (q *Queue) Len() int { return len(q.heap) }
 
-// Cap returns the number of event slots currently allocated (pooled +
-// pending); diagnostics for pool-reuse tests.
-func (q *Queue) Cap() int { return len(q.slots) }
-
-// Reset discards every pending event and restores the queue to its initial
-// state while keeping the slot slab, heap array, and free list capacity for
+// Reset discards every pending event while keeping the heap array for
 // reuse. The insertion sequence restarts at zero, so a reused queue orders
 // equal-timestamp events exactly like a fresh one — the property the
 // simulation pools rely on for byte-identical reruns.
 func (q *Queue) Reset() {
-	for i := range q.heap {
-		q.release(q.heap[i].idx)
-	}
+	clear(q.heap) // drop the callbacks so they can be collected
 	q.heap = q.heap[:0]
 	q.nextSeq = 0
 }
 
-// Push schedules fn at time at and returns a handle usable with Cancel.
-func (q *Queue) Push(at time.Duration, fn func()) Handle {
-	var idx int32
-	if n := len(q.free); n > 0 {
-		idx = q.free[n-1]
-		q.free = q.free[:n-1]
-	} else {
-		q.slots = append(q.slots, slot{})
-		idx = int32(len(q.slots) - 1)
-	}
-	s := &q.slots[idx]
-	s.fn = fn
-	s.heap = int32(len(q.heap))
-	q.heap = append(q.heap, entry{at: at, seq: q.nextSeq, idx: idx})
+// Push schedules fn at time at.
+func (q *Queue) Push(at time.Duration, fn func()) {
+	e := entry{at: at, seq: q.nextSeq, fn: fn}
 	q.nextSeq++
-	q.up(int(s.heap))
-	return Handle{idx: idx + 1, gen: s.gen}
+	q.heap = append(q.heap, e)
+	h := q.heap
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / arity
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
 }
 
 // Pop removes the earliest event and returns its time and callback;
-// ok is false if the queue is empty. The event's slot is recycled before
-// returning, so the callback must not assume its handle is still pending.
+// ok is false if the queue is empty.
 func (q *Queue) Pop() (at time.Duration, fn func(), ok bool) {
-	if len(q.heap) == 0 {
+	n := len(q.heap) - 1
+	if n < 0 {
 		return 0, nil, false
 	}
-	head := q.heap[0]
-	fn = q.slots[head.idx].fn
-	q.removeHeap(0)
-	q.release(head.idx)
-	return head.at, fn, true
+	h := q.heap
+	head, last := h[0], h[n]
+	h[n] = entry{} // drop the callback reference from the spare capacity
+	h = h[:n]
+	q.heap = h
+	if n > 0 {
+		i := 0
+		for {
+			c := arity*i + 1
+			if c >= n {
+				break
+			}
+			m := c
+			for j := c + 1; j < c+arity && j < n; j++ {
+				if h[j].before(&h[m]) {
+					m = j
+				}
+			}
+			if !h[m].before(&last) {
+				break
+			}
+			h[i] = h[m]
+			i = m
+		}
+		h[i] = last
+	}
+	return head.at, head.fn, true
 }
 
 // PeekAt returns the earliest pending event time; ok is false if empty.
@@ -115,102 +116,4 @@ func (q *Queue) PeekAt() (at time.Duration, ok bool) {
 		return 0, false
 	}
 	return q.heap[0].at, true
-}
-
-// Pending reports whether the event identified by h is still scheduled.
-// Stale handles (fired, cancelled, or slot since reused) report false.
-func (q *Queue) Pending(h Handle) bool {
-	if h.idx <= 0 || int(h.idx) > len(q.slots) {
-		return false
-	}
-	s := &q.slots[h.idx-1]
-	return s.gen == h.gen && s.heap >= 0
-}
-
-// At returns the scheduled firing time of a pending event; ok is false for
-// stale handles.
-func (q *Queue) At(h Handle) (at time.Duration, ok bool) {
-	if !q.Pending(h) {
-		return 0, false
-	}
-	return q.heap[q.slots[h.idx-1].heap].at, true
-}
-
-// Cancel removes the event identified by h from the queue. It is a no-op
-// for stale handles, so callers may cancel unconditionally. Returns whether
-// a pending event was actually removed.
-func (q *Queue) Cancel(h Handle) bool {
-	if !q.Pending(h) {
-		return false
-	}
-	idx := h.idx - 1
-	q.removeHeap(int(q.slots[idx].heap))
-	q.release(idx)
-	return true
-}
-
-// release invalidates outstanding handles for the slot, drops the callback
-// reference, and returns the slot to the free list.
-func (q *Queue) release(idx int32) {
-	s := &q.slots[idx]
-	s.gen++
-	s.fn = nil
-	s.heap = -1
-	q.free = append(q.free, idx)
-}
-
-func (q *Queue) less(a, b *entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (q *Queue) swap(i, j int) {
-	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
-	q.slots[q.heap[i].idx].heap = int32(i)
-	q.slots[q.heap[j].idx].heap = int32(j)
-}
-
-// removeHeap detaches heap position i, restoring the heap invariant.
-func (q *Queue) removeHeap(i int) {
-	last := len(q.heap) - 1
-	if i != last {
-		q.swap(i, last)
-	}
-	q.heap = q.heap[:last]
-	if i < last {
-		q.down(i)
-		q.up(i)
-	}
-}
-
-func (q *Queue) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(&q.heap[i], &q.heap[parent]) {
-			break
-		}
-		q.swap(i, parent)
-		i = parent
-	}
-}
-
-func (q *Queue) down(i int) {
-	n := len(q.heap)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		smallest := left
-		if right := left + 1; right < n && q.less(&q.heap[right], &q.heap[left]) {
-			smallest = right
-		}
-		if !q.less(&q.heap[smallest], &q.heap[i]) {
-			return
-		}
-		q.swap(i, smallest)
-		i = smallest
-	}
 }

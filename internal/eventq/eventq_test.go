@@ -65,121 +65,9 @@ func TestFIFOAmongEqualTimes(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	var q Queue
-	q.Push(1*time.Second, nil)
-	e2 := q.Push(2*time.Second, nil)
-	q.Push(3*time.Second, nil)
-	if !q.Cancel(e2) {
-		t.Fatal("Cancel returned false for pending event")
-	}
-	if q.Cancel(e2) {
-		t.Fatal("double Cancel returned true")
-	}
-	if q.Pending(e2) {
-		t.Fatal("cancelled event still pending")
-	}
-	if at, _, _ := q.Pop(); at != 1*time.Second {
-		t.Fatalf("first pop = %v, want 1s", at)
-	}
-	if at, _, _ := q.Pop(); at != 3*time.Second {
-		t.Fatalf("second pop = %v, want 3s", at)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("queue not empty: %d", q.Len())
-	}
-}
-
-func TestCancelHead(t *testing.T) {
-	var q Queue
-	e1 := q.Push(1*time.Second, nil)
-	q.Push(2*time.Second, nil)
-	q.Cancel(e1)
-	if at, ok := q.PeekAt(); !ok || at != 2*time.Second {
-		t.Fatal("head cancel did not promote next event")
-	}
-}
-
-func TestCancelZeroHandle(t *testing.T) {
-	var q Queue
-	if q.Cancel(Handle{}) {
-		t.Fatal("Cancel of zero Handle returned true")
-	}
-	if (Handle{}).Valid() {
-		t.Fatal("zero Handle claims validity")
-	}
-}
-
-func TestPoppedEventNotPending(t *testing.T) {
-	var q Queue
-	e := q.Push(time.Second, nil)
-	q.Pop()
-	if q.Pending(e) {
-		t.Fatal("popped event still claims to be pending")
-	}
-	if q.Cancel(e) {
-		t.Fatal("Cancel after Pop returned true")
-	}
-}
-
-func TestAt(t *testing.T) {
-	var q Queue
-	e := q.Push(7*time.Second, nil)
-	if at, ok := q.At(e); !ok || at != 7*time.Second {
-		t.Fatalf("At = %v, %v", at, ok)
-	}
-	q.Pop()
-	if _, ok := q.At(e); ok {
-		t.Fatal("At succeeded on fired event")
-	}
-}
-
-// TestSlotReuseAfterPop is the pool-behaviour contract: a fire/schedule
-// steady state must recycle slots instead of growing the slab.
-func TestSlotReuseAfterPop(t *testing.T) {
-	var q Queue
-	for i := 0; i < 8; i++ {
-		q.Push(time.Duration(i)*time.Second, nil)
-	}
-	grown := q.Cap()
-	for cycle := 0; cycle < 1000; cycle++ {
-		at, _, ok := q.Pop()
-		if !ok {
-			t.Fatal("pool drained unexpectedly")
-		}
-		q.Push(at+8*time.Second, nil)
-	}
-	if q.Cap() != grown {
-		t.Fatalf("slab grew from %d to %d slots during steady-state churn", grown, q.Cap())
-	}
-}
-
-// TestSlotReuseAfterCancel checks that cancellation also returns slots to
-// the pool and that a handle whose slot was reused is recognised as stale.
-func TestSlotReuseAfterCancel(t *testing.T) {
-	var q Queue
-	stale := q.Push(time.Second, nil)
-	if !q.Cancel(stale) {
-		t.Fatal("Cancel failed")
-	}
-	grown := q.Cap()
-	fresh := q.Push(2*time.Second, nil)
-	if q.Cap() != grown {
-		t.Fatalf("cancelled slot not reused: cap %d -> %d", grown, q.Cap())
-	}
-	if q.Pending(stale) {
-		t.Fatal("stale handle reports pending after its slot was reused")
-	}
-	if q.Cancel(stale) {
-		t.Fatal("stale handle cancelled the reused slot's event")
-	}
-	if !q.Pending(fresh) {
-		t.Fatal("fresh event lost")
-	}
-}
-
-// TestSteadyStateAllocFree verifies the headline property: scheduling into
-// recycled slots does not allocate.
+// TestSteadyStateAllocFree verifies the headline property: once the heap
+// array has grown to the working set, a fire/schedule steady state does
+// not allocate.
 func TestSteadyStateAllocFree(t *testing.T) {
 	var q Queue
 	fn := func() {}
@@ -195,51 +83,121 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// Property: interleaved pushes and cancels always drain in sorted order and
-// cancelled events never appear.
+// TestSlotReuseAfterPop checks that a popped event's heap slot is reused by
+// the next push, so steady-state churn never grows the heap array.
+func TestSlotReuseAfterPop(t *testing.T) {
+	var q Queue
+	for i := 0; i < 8; i++ {
+		q.Push(time.Duration(i)*time.Second, nil)
+	}
+	grown := cap(q.heap)
+	for cycle := 0; cycle < 1000; cycle++ {
+		at, _, ok := q.Pop()
+		if !ok {
+			t.Fatal("queue drained unexpectedly")
+		}
+		q.Push(at+8*time.Second, nil)
+	}
+	if cap(q.heap) != grown {
+		t.Fatalf("heap array grew from %d to %d entries during steady-state churn", grown, cap(q.heap))
+	}
+	if q.Len() != 8 {
+		t.Fatalf("Len after churn = %d, want 8", q.Len())
+	}
+}
+
+// TestResetRestartsSequence checks that a reused queue orders
+// equal-timestamp events exactly like a fresh one and drops the callbacks
+// it discarded.
+func TestResetRestartsSequence(t *testing.T) {
+	var q Queue
+	for i := 0; i < 10; i++ {
+		q.Push(time.Duration(i%3), func() {})
+	}
+	q.Pop()
+	q.Reset()
+	if q.Len() != 0 {
+		t.Fatalf("Len after Reset = %d", q.Len())
+	}
+	for i, e := range q.heap[:cap(q.heap)] {
+		if e.fn != nil {
+			t.Fatalf("entry %d keeps a callback after Reset", i)
+		}
+	}
+	var order []int
+	for i := 0; i < 5; i++ {
+		i := i
+		q.Push(time.Second, func() { order = append(order, i) })
+	}
+	for q.Len() > 0 {
+		_, fn, _ := q.Pop()
+		fn()
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("equal-time events after Reset fired out of insertion order: %v", order)
+		}
+	}
+}
+
+// refEvent is one event of the reference model: its key and push index.
+type refEvent struct {
+	at  time.Duration
+	seq int
+}
+
+// Property: random interleavings of Push and Pop, with many equal
+// timestamps, pop events in exactly the order a stable sort of the pending
+// set by (time, push order) gives.
 func TestPropertyHeapOrder(t *testing.T) {
-	check := func(seed uint64, rawN uint8) bool {
+	check := func(seed uint64, rawN uint16) bool {
 		r := rng.New(seed)
-		n := int(rawN)%200 + 1
+		n := int(rawN)%2000 + 1
 		var q Queue
-		handles := make([]Handle, 0, n)
-		ats := make([]time.Duration, 0, n)
-		for i := 0; i < n; i++ {
-			at := time.Duration(r.Intn(50)) * time.Millisecond
-			handles = append(handles, q.Push(at, nil))
-			ats = append(ats, at)
-		}
-		var want []time.Duration
-		for i, h := range handles {
-			if r.Bool(0.3) {
-				q.Cancel(h)
-			} else {
-				want = append(want, ats[i])
+		var pending []refEvent
+		popped := -1
+		now := time.Duration(0)
+		for seq := 0; seq < n || q.Len() > 0; {
+			if seq < n && (q.Len() == 0 || r.Bool(0.6)) {
+				// Few distinct times relative to the queue size, so most
+				// comparisons are decided by the sequence tie-break.
+				at := now + time.Duration(r.Intn(8))
+				s := seq
+				q.Push(at, func() { popped = s })
+				pending = append(pending, refEvent{at: at, seq: seq})
+				seq++
+				continue
 			}
-		}
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		for i := 0; q.Len() > 0; i++ {
-			at, _, ok := q.Pop()
-			if !ok || i >= len(want) || at != want[i] {
+			sort.SliceStable(pending, func(i, j int) bool { return pending[i].at < pending[j].at })
+			want := pending[0]
+			pending = pending[1:]
+			at, fn, ok := q.Pop()
+			if !ok {
 				return false
 			}
+			fn()
+			if at != want.at || popped != want.seq {
+				return false
+			}
+			now = at
 		}
-		return true
+		return len(pending) == 0
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: sequence numbers preserve FIFO among equal timestamps even with
-// slot reuse in between.
+// Property: sequence numbers preserve FIFO among equal timestamps even
+// when the pushes land in heap storage recycled by earlier pops.
 func TestPropertyStableOrder(t *testing.T) {
 	check := func(seed uint64) bool {
 		r := rng.New(seed)
 		var q Queue
-		// Churn the pool first so pushes land in recycled slots.
+		// Churn the heap first so pushes land in recycled storage.
 		for i := 0; i < 20; i++ {
-			q.Cancel(q.Push(time.Second, nil))
+			q.Push(time.Second, nil)
+			q.Pop()
 		}
 		tags := make([]int, 0, 100)
 		for i := 0; i < 100; i++ {

@@ -240,7 +240,7 @@ func (s *simulator) stayAwakeCoin(node topo.NodeID, frame int64) bool {
 		return true
 	}
 	mix := s.cfg.Seed ^ uint64(node)*0x9e3779b97f4a7c15 ^ uint64(frame)*0xc2b2ae3d27d4eb4f
-	return rng.New(mix).Float64() < s.cfg.Params.Q
+	return rng.FirstFloat64(mix) < s.cfg.Params.Q
 }
 
 func (s *simulator) frameIndex(t time.Duration) int64 {
@@ -323,9 +323,10 @@ func (s *simulator) nextNormalDelivery(t time.Duration) time.Duration {
 
 func (s *simulator) run() (*Result, error) {
 	interval := time.Duration(float64(time.Second) / s.cfg.Lambda)
+	s.kernel = sim.NewKernel()
 	for u := 0; u < s.cfg.Updates; u++ {
 		s.originT = time.Duration(u) * interval
-		s.kernel = sim.NewKernel()
+		s.kernel.Reset()
 		for i := range s.nodes {
 			s.nodes[i] = nodeState{}
 		}

@@ -31,11 +31,8 @@ func New(seed uint64) *Source {
 func (s *Source) Reseed(seed uint64) {
 	sm := seed
 	next := func() uint64 {
-		sm += 0x9e3779b97f4a7c15
-		z := sm
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
+		sm += splitMixGamma
+		return splitMix(sm)
 	}
 	s.s0, s.s1, s.s2, s.s3 = next(), next(), next(), next()
 	// xoshiro requires a nonzero state; SplitMix64 never produces all-zero
@@ -43,6 +40,25 @@ func (s *Source) Reseed(seed uint64) {
 	if s.s0|s.s1|s.s2|s.s3 == 0 {
 		s.s3 = 1
 	}
+}
+
+// splitMixGamma is SplitMix64's state increment.
+const splitMixGamma = 0x9e3779b97f4a7c15
+
+// splitMix is SplitMix64's output function of its state z.
+func splitMix(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// FirstFloat64 returns exactly New(seed).Float64() without building the
+// generator. xoshiro256**'s first output reads only the state word s1,
+// which is the second SplitMix64 draw from seed, so one draw suffices. It
+// is the cheap path for stateless coins hashed from (seed, ...) tuples.
+func FirstFloat64(seed uint64) float64 {
+	s1 := splitMix(seed + splitMixGamma + splitMixGamma)
+	return float64((rotl(s1*5, 7)*9)>>11) / (1 << 53)
 }
 
 // Split derives an independent child stream. The parent advances, so

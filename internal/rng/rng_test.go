@@ -42,6 +42,31 @@ func TestZeroSeedUsable(t *testing.T) {
 	}
 }
 
+// TestFirstFloat64MatchesNew pins FirstFloat64 to the generator it
+// shortcuts over sequential seeds, seeds from a stream, the extremes, and
+// seeds within a few steps of multiples of the SplitMix64 increment (where
+// the draw's input wraps through or lands near zero).
+func TestFirstFloat64MatchesNew(t *testing.T) {
+	seeds := []uint64{0, 1, math.MaxUint64, math.MaxUint64 - 1, 1 << 63}
+	for k := uint64(0); k < 4096; k++ {
+		for d := uint64(0); d < 5; d++ {
+			seeds = append(seeds, k*splitMixGamma+d-2, -k*splitMixGamma+d-2)
+		}
+	}
+	for s := uint64(0); s < 50_000; s++ {
+		seeds = append(seeds, s)
+	}
+	r := New(99)
+	for i := 0; i < 50_000; i++ {
+		seeds = append(seeds, r.Uint64())
+	}
+	for _, s := range seeds {
+		if got, want := FirstFloat64(s), New(s).Float64(); got != want {
+			t.Fatalf("FirstFloat64(%#x) = %v, New(%#x).Float64() = %v", s, got, s, want)
+		}
+	}
+}
+
 func TestSplitIndependence(t *testing.T) {
 	parent := New(7)
 	c1 := parent.Split()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -31,6 +32,9 @@ func TestRunAllCtxIntercept(t *testing.T) {
 
 	// Record every result on the first pass, then replay the recording on
 	// the second: zero computations, identical output, Cached events.
+	// Intercept runs on the sweep workers concurrently, so the recording
+	// is guarded.
+	var mu sync.Mutex
 	recorded := make(map[string]Result)
 	var computes atomic.Int32
 	runWith := func(replay bool) ([]Output, []PointEvent) {
@@ -40,7 +44,9 @@ func TestRunAllCtxIntercept(t *testing.T) {
 			Intercept: func(sc Scenario, pt Point, compute func() (Result, error)) (Result, bool, error) {
 				key := PointKey(sc.ID, s, pt)
 				if replay {
+					mu.Lock()
 					res, ok := recorded[key]
+					mu.Unlock()
 					if !ok {
 						t.Errorf("point %s not recorded", pt.Label())
 					}
@@ -48,7 +54,9 @@ func TestRunAllCtxIntercept(t *testing.T) {
 				}
 				computes.Add(1)
 				res, err := compute()
+				mu.Lock()
 				recorded[key] = res
+				mu.Unlock()
 				return res, false, err
 			},
 			OnPoint: func(ev PointEvent) { events = append(events, ev) },

@@ -6,10 +6,12 @@
 // tie-break is both faster and reproducible. All simulated time is
 // time.Duration from the start of the run.
 //
-// Events are pooled: the kernel's queue (internal/eventq) recycles event
-// slots, and Timer is a value-type handle, so steady-state scheduling — in
-// particular recurring timers that fire and reschedule forever — performs
-// no per-event allocation.
+// Scheduling is fire-and-forget: an event cannot be cancelled, so a
+// callback that may have become stale checks its own state when it fires.
+// The kernel's queue (internal/eventq) keeps its heap array across events
+// and across Reset, so once a run's pending set has reached its working
+// size, scheduling and firing events allocates nothing — recurring events
+// that reschedule a pre-bound callback included.
 package sim
 
 import (
@@ -76,46 +78,21 @@ func (k *Kernel) flushFired() {
 	}
 }
 
-// Timer is a cancellable handle for a scheduled callback. It is a small
-// value: copying it is cheap and the zero Timer is inert.
-type Timer struct {
-	kernel *Kernel
-	handle eventq.Handle
-	at     time.Duration
-}
-
-// Cancel removes the timer from the schedule; safe to call repeatedly and
-// after the timer fired. Reports whether a pending event was removed.
-func (t Timer) Cancel() bool {
-	if t.kernel == nil {
-		return false
-	}
-	return t.kernel.queue.Cancel(t.handle)
-}
-
-// Pending reports whether the timer is still scheduled.
-func (t Timer) Pending() bool {
-	return t.kernel != nil && t.kernel.queue.Pending(t.handle)
-}
-
-// At returns the absolute firing time the timer was scheduled for.
-func (t Timer) At() time.Duration { return t.at }
-
 // Schedule runs fn after delay d (>= 0) of simulated time. A negative delay
 // is clamped to zero so that "fire now" races cannot schedule into the past.
-func (k *Kernel) Schedule(d time.Duration, fn func()) Timer {
+func (k *Kernel) Schedule(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return k.ScheduleAt(k.now+d, fn)
+	k.ScheduleAt(k.now+d, fn)
 }
 
 // ScheduleAt runs fn at absolute time at; times before Now are clamped.
-func (k *Kernel) ScheduleAt(at time.Duration, fn func()) Timer {
+func (k *Kernel) ScheduleAt(at time.Duration, fn func()) {
 	if at < k.now {
 		at = k.now
 	}
-	return Timer{kernel: k, handle: k.queue.Push(at, fn), at: at}
+	k.queue.Push(at, fn)
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -172,44 +149,4 @@ func (k *Kernel) RunUntilIdle() error {
 			fn()
 		}
 	}
-}
-
-// Ticker invokes fn every period until cancelled, starting at Now+period.
-// It returns a cancel function. The callback may itself call the cancel
-// function to stop future ticks. The tick closure is created once; each
-// firing reschedules into a pooled event slot, so a long-lived ticker
-// allocates nothing per tick.
-func (k *Kernel) Ticker(period time.Duration, fn func()) (cancel func()) {
-	if period <= 0 {
-		panic("sim: Ticker with non-positive period")
-	}
-	state := &tickerState{kernel: k, period: period, fn: fn}
-	state.tick = state.run
-	state.timer = k.Schedule(period, state.tick)
-	return state.cancel
-}
-
-// tickerState carries a recurring timer's fixed closure and current handle.
-type tickerState struct {
-	kernel  *Kernel
-	period  time.Duration
-	fn      func()
-	tick    func()
-	timer   Timer
-	stopped bool
-}
-
-func (s *tickerState) run() {
-	if s.stopped {
-		return
-	}
-	s.fn()
-	if !s.stopped {
-		s.timer = s.kernel.Schedule(s.period, s.tick)
-	}
-}
-
-func (s *tickerState) cancel() {
-	s.stopped = true
-	s.timer.Cancel()
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -124,27 +125,6 @@ func TestStop(t *testing.T) {
 	}
 }
 
-func TestTimerCancel(t *testing.T) {
-	k := NewKernel()
-	fired := false
-	timer := k.Schedule(time.Second, func() { fired = true })
-	if !timer.Pending() {
-		t.Fatal("timer not pending after Schedule")
-	}
-	if !timer.Cancel() {
-		t.Fatal("Cancel returned false")
-	}
-	if timer.Cancel() {
-		t.Fatal("second Cancel returned true")
-	}
-	if err := k.Run(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("cancelled timer fired")
-	}
-}
-
 func TestRunUntilIdle(t *testing.T) {
 	k := NewKernel()
 	total := 0
@@ -167,55 +147,36 @@ func TestRunUntilIdle(t *testing.T) {
 	}
 }
 
-func TestTicker(t *testing.T) {
-	k := NewKernel()
-	var ticks []time.Duration
-	cancel := k.Ticker(time.Second, func() {
-		ticks = append(ticks, k.Now())
-	})
-	k.Schedule(3500*time.Millisecond, func() { cancel() })
-	if err := k.Run(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if len(ticks) != 3 {
-		t.Fatalf("ticks = %v", ticks)
-	}
-	for i, at := range ticks {
-		if want := time.Duration(i+1) * time.Second; at != want {
-			t.Fatalf("tick %d at %v, want %v", i, at, want)
+// every runs fn every period from Now+period for as long as fn returns
+// true, the way the simulators build recurring events: one pre-bound
+// closure that reschedules itself.
+func every(k *Kernel, period time.Duration, fn func() bool) {
+	var tick func()
+	tick = func() {
+		if fn() {
+			k.Schedule(period, tick)
 		}
 	}
-}
-
-func TestTickerSelfCancel(t *testing.T) {
-	k := NewKernel()
-	n := 0
-	var cancel func()
-	cancel = k.Ticker(time.Second, func() {
-		n++
-		if n == 2 {
-			cancel()
-		}
-	})
-	if err := k.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("ticker fired %d times after self-cancel at 2", n)
-	}
+	k.Schedule(period, tick)
 }
 
 // TestResumeAfterStopReusesPool verifies that events surviving a Stop keep
-// firing on the next Run and that a recurring timer can be cancelled while
-// the kernel is stopped — the pool must treat Stop as a pause, not a drain.
+// firing on the next Run and that a recurring event can be switched off
+// while the kernel is stopped — the kernel must treat Stop as a pause, not
+// a drain.
 func TestResumeAfterStopReusesPool(t *testing.T) {
 	k := NewKernel()
 	ticks := 0
-	cancel := k.Ticker(time.Second, func() {
+	off := false
+	every(k, time.Second, func() bool {
+		if off {
+			return false
+		}
 		ticks++
 		if ticks == 3 {
 			k.Stop()
 		}
+		return true
 	})
 	if err := k.Run(time.Minute); !errors.Is(err, ErrStopped) {
 		t.Fatalf("err = %v, want ErrStopped", err)
@@ -223,30 +184,33 @@ func TestResumeAfterStopReusesPool(t *testing.T) {
 	if ticks != 3 {
 		t.Fatalf("ticks = %d before stop, want 3", ticks)
 	}
-	// Resume: the rescheduled tick (pooled slot) must still be live.
+	// Resume: the rescheduled tick must still be live.
 	if err := k.Run(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if ticks != 5 {
 		t.Fatalf("ticks = %d after resume, want 5", ticks)
 	}
-	// Cancel between runs: no further ticks on the next resume.
-	cancel()
+	// Switch off between runs: no further ticks on the next resume.
+	off = true
 	if err := k.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if ticks != 5 {
-		t.Fatalf("ticker fired %d times after cancel, want 5", ticks)
+		t.Fatalf("recurring event fired %d times after switch-off, want 5", ticks)
+	}
+	if k.Pending() != 0 {
+		t.Fatalf("pending = %d after the recurring event stopped, want 0", k.Pending())
 	}
 }
 
-// TestTickerSteadyStateAllocFree is the pooled-kernel headline: a recurring
-// timer firing forever must not allocate per tick.
-func TestTickerSteadyStateAllocFree(t *testing.T) {
+// TestRecurringEventSteadyStateAllocFree is the pooled-kernel headline: a
+// recurring event firing forever must not allocate per firing.
+func TestRecurringEventSteadyStateAllocFree(t *testing.T) {
 	k := NewKernel()
 	n := 0
-	k.Ticker(time.Second, func() { n++ })
-	if err := k.Run(10 * time.Second); err != nil { // warm the pool
+	every(k, time.Second, func() bool { n++; return true })
+	if err := k.Run(10 * time.Second); err != nil { // warm the heap array
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
@@ -255,44 +219,38 @@ func TestTickerSteadyStateAllocFree(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("recurring timer allocates %.1f times per 10 ticks", allocs)
+		t.Fatalf("recurring event allocates %.1f times per 10 firings", allocs)
 	}
 	if n == 0 {
-		t.Fatal("ticker never fired")
+		t.Fatal("recurring event never fired")
 	}
 }
 
-// TestTimerStaleAfterFire ensures a Timer whose pooled slot was recycled by
-// a later event neither reports pending nor cancels the new occupant.
-func TestTimerStaleAfterFire(t *testing.T) {
-	k := NewKernel()
-	stale := k.Schedule(time.Second, func() {})
-	if err := k.Run(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	fired := false
-	k.Schedule(time.Second, func() { fired = true }) // reuses the slot
-	if stale.Pending() {
-		t.Fatal("fired timer reports pending")
-	}
-	if stale.Cancel() {
-		t.Fatal("stale timer cancelled the slot's new event")
-	}
-	if err := k.Run(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if !fired {
-		t.Fatal("new event lost")
-	}
-}
-
-func TestTickerPanicsOnZeroPeriod(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
+// TestResetMatchesFreshKernel checks that a reset kernel replays a
+// schedule with equal timestamps in the same order as a fresh one, with
+// its clock back at zero and nothing pending.
+func TestResetMatchesFreshKernel(t *testing.T) {
+	replay := func(k *Kernel) []int {
+		var order []int
+		for i := 0; i < 8; i++ {
+			i := i
+			k.Schedule(time.Duration(i%2)*time.Second, func() { order = append(order, i) })
 		}
-	}()
-	NewKernel().Ticker(0, func() {})
+		if err := k.RunUntilIdle(); err != nil {
+			t.Fatal(err)
+		}
+		return order
+	}
+	k := NewKernel()
+	want := replay(k)
+	k.Schedule(time.Hour, func() { t.Fatal("event discarded by Reset fired") })
+	k.Reset()
+	if k.Now() != 0 || k.Pending() != 0 {
+		t.Fatalf("after Reset: now = %v, pending = %d", k.Now(), k.Pending())
+	}
+	if got := replay(k); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reset kernel order %v, fresh kernel order %v", got, want)
+	}
 }
 
 // Property: for any batch of scheduled delays, Run fires them in
