@@ -155,11 +155,15 @@ func runSweep(ctx context.Context, args []string, out, errOut io.Writer) error {
 		engineWorkers = *outstanding
 	}
 
-	// dispatch computes one point: remotely through the coordinator's
-	// queue when distributing, locally otherwise.
-	dispatch := func(sc scenario.Scenario, pt scenario.Point, compute func() (scenario.Result, error)) (scenario.Result, error) {
+	// keyer mints every point key of the sweep; the scale is serialized
+	// once, not once per point.
+	keyer := scenario.NewKeyer(scale)
+
+	// dispatch computes one point, whose key is key: remotely through the
+	// coordinator's queue when distributing, locally otherwise.
+	dispatch := func(sc scenario.Scenario, pt scenario.Point, key string, compute func() (scenario.Result, error)) (scenario.Result, error) {
 		if coord != nil {
-			return coord.Do(ctx, scenario.NewPointSpec(sc, scale, pt))
+			return coord.Do(ctx, scenario.PointSpec{ScenarioID: sc.ID, Scale: scale, Point: pt, Key: key})
 		}
 		return compute()
 	}
@@ -205,7 +209,7 @@ func runSweep(ctx context.Context, args []string, out, errOut io.Writer) error {
 		cpw = w
 		defer w.Close()
 		opts.Intercept = func(sc scenario.Scenario, pt scenario.Point, compute func() (scenario.Result, error)) (scenario.Result, bool, error) {
-			key := scenario.PointKey(sc.ID, scale, pt)
+			key := keyer.Key(sc.ID, pt)
 			mu.Lock()
 			res, ok := cp.Results[key]
 			if ok {
@@ -215,7 +219,7 @@ func runSweep(ctx context.Context, args []string, out, errOut io.Writer) error {
 			if ok {
 				return res, true, nil
 			}
-			res, err := dispatch(sc, pt, compute)
+			res, err := dispatch(sc, pt, key, compute)
 			if err != nil {
 				return res, false, err
 			}
@@ -230,7 +234,7 @@ func runSweep(ctx context.Context, args []string, out, errOut io.Writer) error {
 		}
 	case coord != nil:
 		opts.Intercept = func(sc scenario.Scenario, pt scenario.Point, compute func() (scenario.Result, error)) (scenario.Result, bool, error) {
-			res, err := dispatch(sc, pt, compute)
+			res, err := dispatch(sc, pt, keyer.Key(sc.ID, pt), compute)
 			return res, false, err
 		}
 	}

@@ -3,7 +3,6 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 
 	"pbbf/internal/stats"
@@ -226,14 +225,12 @@ func RunAllCtx(ctx context.Context, scenarios []Scenario, s Scale, opts RunOptio
 // keys, so a failing point in a multi-figure run is attributable from the
 // message alone.
 func (p Point) Label() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "series %q x=%g", p.Series, p.X)
+	b := fmt.Appendf(nil, "series %q x=%g", p.Series, p.X)
 	if len(p.Params) > 0 {
-		sb.WriteString(" [")
-		writeSortedParams(&sb, p.Params, ' ')
-		sb.WriteByte(']')
+		b = appendSortedParams(append(b, " ["...), p.Params, ' ')
+		b = append(b, ']')
 	}
-	return sb.String()
+	return string(b)
 }
 
 // assemble folds per-point results into the scenario's output table.

@@ -2,7 +2,7 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -13,79 +13,107 @@ import (
 // identical keys denote the same pure computation — RunPoint derives all
 // randomness from the scale seed and the point coordinates — so the key is
 // safe to use for cross-request result caching and resumable checkpoints.
+// Callers keying many points of one scale should mint them from one
+// Keyer instead, which serializes the scale once.
 func PointKey(scenarioID string, s Scale, pt Point) string {
-	var sb strings.Builder
-	sb.Grow(192)
-	sb.WriteString(scenarioID)
-	sb.WriteByte('|')
-	writeScaleKey(&sb, s)
-	fmt.Fprintf(&sb, "|series=%s|x=%g", pt.Series, pt.X)
-	if len(pt.Params) > 0 {
-		sb.WriteByte('|')
-		writeSortedParams(&sb, pt.Params, '|')
-	}
-	return sb.String()
+	return NewKeyer(s).Key(scenarioID, pt)
 }
 
-// writeSortedParams renders a parameter assignment as name=value pairs in
+// Keyer mints the PointKeys of one scale. The scale segment is most of a
+// key's bytes and the same for every point of a run, so NewKeyer
+// serializes it once and Key appends only the scenario ID and the point's
+// coordinates. A Keyer is immutable and safe for concurrent use.
+type Keyer struct {
+	scale string // the scale segment, "grid=..." through seed/protocol/energy
+}
+
+// NewKeyer serializes the scale segment of s's keys.
+func NewKeyer(s Scale) Keyer {
+	var buf [256]byte
+	return Keyer{scale: string(appendScaleKey(buf[:0], s))}
+}
+
+// Key returns PointKey(scenarioID, s, pt) for the scale s the Keyer was
+// built from.
+func (k Keyer) Key(scenarioID string, pt Point) string {
+	var buf [384]byte
+	b := append(buf[:0], scenarioID...)
+	b = append(b, '|')
+	b = append(b, k.scale...)
+	b = append(b, "|series="...)
+	b = append(b, pt.Series...)
+	b = appendFloat(append(b, "|x="...), pt.X)
+	if len(pt.Params) > 0 {
+		b = appendSortedParams(append(b, '|'), pt.Params, '|')
+	}
+	return string(b)
+}
+
+// appendSortedParams renders a parameter assignment as name=value pairs in
 // sorted-name order, separated by sep. It is the one rendering shared by
 // PointKey (cache/checkpoint identity) and Point.Label (error and
 // progress messages), so a reported point always names the same identity
 // its cached result is stored under.
-func writeSortedParams(sb *strings.Builder, params map[string]float64, sep byte) {
-	names := make([]string, 0, len(params))
+func appendSortedParams(b []byte, params map[string]float64, sep byte) []byte {
+	var small [8]string
+	names := small[:0]
 	for name := range params {
 		names = append(names, name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for i, name := range names {
 		if i > 0 {
-			sb.WriteByte(sep)
+			b = append(b, sep)
 		}
-		fmt.Fprintf(sb, "%s=%g", name, params[name])
+		b = append(b, name...)
+		b = appendFloat(append(b, '='), params[name])
 	}
+	return b
 }
 
-// writeScaleKey serializes every Scale field in a fixed order. The
+// appendScaleKey serializes every Scale field in a fixed order. The
 // scaleKeyFields test constant pins the field count so adding a Scale
 // dimension without extending this serialization fails the build's tests
 // instead of silently aliasing distinct workloads to one key.
-func writeScaleKey(sb *strings.Builder, s Scale) {
-	fmt.Fprintf(sb, "grid=%dx%d|iu=%d|pt=%d|pg=", s.GridW, s.GridH, s.IdealUpdates, s.PercTrials)
-	writeInts(sb, s.PercGrids)
-	fmt.Fprintf(sb, "|nn=%d|nr=%d|nd=%d|q=", s.NetNodes, s.NetRuns, s.NetDuration.Nanoseconds())
-	writeFloats(sb, s.QSweep)
-	sb.WriteString("|pi=")
-	writeFloats(sb, s.PSweepIdeal)
-	sb.WriteString("|pn=")
-	writeFloats(sb, s.PSweepNet)
-	sb.WriteString("|ds=")
-	writeFloats(sb, s.DeltaSweep)
-	fmt.Fprintf(sb, "|hop=%d,%d|nth=", s.HopNear, s.HopFar)
-	writeInts(sb, s.NetTrackHops)
-	sb.WriteString("|duty=")
-	writeFloats(sb, s.DutySweep)
-	fmt.Fprintf(sb, "|seed=%d", s.Seed)
+func appendScaleKey(b []byte, s Scale) []byte {
+	b = strconv.AppendInt(append(b, "grid="...), int64(s.GridW), 10)
+	b = strconv.AppendInt(append(b, 'x'), int64(s.GridH), 10)
+	b = strconv.AppendInt(append(b, "|iu="...), int64(s.IdealUpdates), 10)
+	b = strconv.AppendInt(append(b, "|pt="...), int64(s.PercTrials), 10)
+	b = appendInts(append(b, "|pg="...), s.PercGrids)
+	b = strconv.AppendInt(append(b, "|nn="...), int64(s.NetNodes), 10)
+	b = strconv.AppendInt(append(b, "|nr="...), int64(s.NetRuns), 10)
+	b = strconv.AppendInt(append(b, "|nd="...), s.NetDuration.Nanoseconds(), 10)
+	b = appendFloats(append(b, "|q="...), s.QSweep)
+	b = appendFloats(append(b, "|pi="...), s.PSweepIdeal)
+	b = appendFloats(append(b, "|pn="...), s.PSweepNet)
+	b = appendFloats(append(b, "|ds="...), s.DeltaSweep)
+	b = strconv.AppendInt(append(b, "|hop="...), int64(s.HopNear), 10)
+	b = strconv.AppendInt(append(b, ','), int64(s.HopFar), 10)
+	b = appendInts(append(b, "|nth="...), s.NetTrackHops)
+	b = appendFloats(append(b, "|duty="...), s.DutySweep)
+	b = strconv.AppendUint(append(b, "|seed="...), s.Seed, 10)
 	// The protocol field is omitted when empty (= PBBF, the default) so
 	// every key minted before protocols existed stays byte-identical to the
 	// key the same workload derives today. Callers canonicalize "pbbf" to
 	// empty before keying (protocol.Spec.Canonical); a literal "pbbf" here
 	// would mint a second identity for the same computation.
 	if s.Protocol != "" {
-		fmt.Fprintf(sb, "|proto=%s", s.Protocol)
+		b = append(append(b, "|proto="...), s.Protocol...)
 	}
 	// The energy fields follow the same omit-when-default rule: an
 	// infinite-battery workload (the only kind that existed before finite
 	// energy) keys exactly as it always did.
 	if s.EnergyJ != 0 {
-		fmt.Fprintf(sb, "|energy=%s", strconv.FormatFloat(s.EnergyJ, 'g', -1, 64))
+		b = appendFloat(append(b, "|energy="...), s.EnergyJ)
 	}
 	if s.HarvestW != 0 {
-		fmt.Fprintf(sb, "|harvest=%s", strconv.FormatFloat(s.HarvestW, 'g', -1, 64))
+		b = appendFloat(append(b, "|harvest="...), s.HarvestW)
 	}
+	return b
 }
 
-// scaleKeyFields is the number of Scale fields writeScaleKey serializes.
+// scaleKeyFields is the number of Scale fields appendScaleKey serializes.
 const scaleKeyFields = 20
 
 // SplitKey decomposes a canonical PointKey into its three segments: the
@@ -102,7 +130,7 @@ func SplitKey(key string) (scenarioID, scaleKey, pointKey string, err error) {
 	}
 	scenarioID, rest := key[:bar], key[bar+1:]
 	// The scale segment always starts at "grid=" and the point segment at
-	// "|series=": writeScaleKey emits grid first, PointKey emits series
+	// "|series=": appendScaleKey emits grid first, PointKey emits series
 	// first, and neither marker can occur earlier (scale field names are
 	// fixed, and the scenario ID cannot contain '|').
 	if !strings.HasPrefix(rest, "grid=") {
@@ -115,20 +143,28 @@ func SplitKey(key string) (scenarioID, scaleKey, pointKey string, err error) {
 	return scenarioID, rest[:sep], rest[sep+1:], nil
 }
 
-func writeInts(sb *strings.Builder, vs []int) {
+func appendInts(b []byte, vs []int) []byte {
 	for i, v := range vs {
 		if i > 0 {
-			sb.WriteByte(',')
+			b = append(b, ',')
 		}
-		sb.WriteString(strconv.Itoa(v))
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
+	return b
 }
 
-func writeFloats(sb *strings.Builder, vs []float64) {
+func appendFloats(b []byte, vs []float64) []byte {
 	for i, v := range vs {
 		if i > 0 {
-			sb.WriteByte(',')
+			b = append(b, ',')
 		}
-		sb.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+		b = appendFloat(b, v)
 	}
+	return b
+}
+
+// appendFloat renders v in the shortest form that parses back to it: the
+// spelling of fmt's %g, which every stored key was minted with.
+func appendFloat(b []byte, v float64) []byte {
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }

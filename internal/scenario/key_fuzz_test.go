@@ -3,7 +3,11 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"unicode/utf8"
 )
@@ -39,7 +43,26 @@ func FuzzPointKeyRoundTrip(f *testing.F) {
 		s.Protocol = proto
 		s.EnergyJ = energyJ
 		s.HarvestW = harvestW
+		s.DeltaSweep = append(s.DeltaSweep, x)
 		pt := Point{Series: series, X: x, Params: map[string]float64{pname: pval}}
+		key := PointKey(id, s, pt)
+		if want := fmtPointKey(id, s, pt); key != want {
+			t.Fatalf("key drifted from the fmt rendering:\ngot  %q\nwant %q", key, want)
+		}
+		if k := NewKeyer(s).Key(id, pt); k != key {
+			t.Fatalf("Keyer and PointKey disagree:\nkeyer    %q\npointkey %q", k, key)
+		}
+		// SplitKey finds the scenario ID at the first '|', so it can only
+		// recover IDs that are non-empty and contain none (registry IDs).
+		if id != "" && !strings.Contains(id, "|") {
+			sid, scaleKey, pointKey, err := SplitKey(key)
+			if err != nil {
+				t.Fatalf("SplitKey(%q): %v", key, err)
+			}
+			if sid != id || sid+"|"+scaleKey+"|"+pointKey != key {
+				t.Fatalf("segments %q, %q, %q do not reassemble %q", sid, scaleKey, pointKey, key)
+			}
+		}
 		spec := NewPointSpec(Scenario{ID: id}, s, pt)
 		if err := spec.Verify(); err != nil {
 			t.Fatalf("fresh spec failed verification: %v", err)
@@ -77,4 +100,62 @@ func FuzzPointKeyRoundTrip(f *testing.F) {
 			t.Fatal("tampered key accepted")
 		}
 	})
+}
+
+// fmtPointKey is the fmt-based key rendering every stored checkpoint and
+// disk record was minted with, kept as the reference the append-based
+// serializer must match byte for byte.
+func fmtPointKey(scenarioID string, s Scale, pt Point) string {
+	var sb strings.Builder
+	floats := func(vs []float64) {
+		for i, v := range vs {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			sb.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+		}
+	}
+	ints := func(vs []int) {
+		for i, v := range vs {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			sb.WriteString(strconv.Itoa(v))
+		}
+	}
+	sb.WriteString(scenarioID)
+	fmt.Fprintf(&sb, "|grid=%dx%d|iu=%d|pt=%d|pg=", s.GridW, s.GridH, s.IdealUpdates, s.PercTrials)
+	ints(s.PercGrids)
+	fmt.Fprintf(&sb, "|nn=%d|nr=%d|nd=%d|q=", s.NetNodes, s.NetRuns, s.NetDuration.Nanoseconds())
+	floats(s.QSweep)
+	sb.WriteString("|pi=")
+	floats(s.PSweepIdeal)
+	sb.WriteString("|pn=")
+	floats(s.PSweepNet)
+	sb.WriteString("|ds=")
+	floats(s.DeltaSweep)
+	fmt.Fprintf(&sb, "|hop=%d,%d|nth=", s.HopNear, s.HopFar)
+	ints(s.NetTrackHops)
+	sb.WriteString("|duty=")
+	floats(s.DutySweep)
+	fmt.Fprintf(&sb, "|seed=%d", s.Seed)
+	if s.Protocol != "" {
+		fmt.Fprintf(&sb, "|proto=%s", s.Protocol)
+	}
+	if s.EnergyJ != 0 {
+		fmt.Fprintf(&sb, "|energy=%s", strconv.FormatFloat(s.EnergyJ, 'g', -1, 64))
+	}
+	if s.HarvestW != 0 {
+		fmt.Fprintf(&sb, "|harvest=%s", strconv.FormatFloat(s.HarvestW, 'g', -1, 64))
+	}
+	fmt.Fprintf(&sb, "|series=%s|x=%g", pt.Series, pt.X)
+	names := make([]string, 0, len(pt.Params))
+	for name := range pt.Params {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(&sb, "|%s=%g", name, pt.Params[name])
+	}
+	return sb.String()
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -89,6 +90,57 @@ func TestPointKeyProtocolBackCompat(t *testing.T) {
 	}
 }
 
+// TestPointKeyPinnedLiterals pins whole keys byte for byte at the bench
+// and large presets and at one deliberately awkward point: an x that
+// renders in exponent form, a 1/3-valued parameter, negative zero, a
+// non-default protocol and both energy fields. Every float goes through
+// the shortest 'g' rendering, so a serializer change that drifts from it
+// (a fixed precision, a dropped exponent sign) orphans stored results and
+// fails here first.
+func TestPointKeyPinnedLiterals(t *testing.T) {
+	awkward := Quick()
+	awkward.Protocol = "sleepsched"
+	awkward.EnergyJ = 1e-7
+	awkward.HarvestW = 0.005
+	awkward.DutySweep = []float64{0.1, 1.0 / 3, 1}
+	cases := []struct {
+		id   string
+		s    Scale
+		pt   Point
+		want string
+	}{
+		{
+			"fig13", Bench(),
+			Point{Series: "PBBF-0.5", X: 12, Params: map[string]float64{"p": 0.5, "q": 0.25, "delta": 12}},
+			"fig13|grid=40x40|iu=4|pt=60|pg=10,20,30|nn=100|nr=2|nd=1000000000000" +
+				"|q=0,0.5,1|pi=0.05,0.5|pn=0.1,0.5|ds=8,12,16|hop=10,25|nth=2,5" +
+				"|duty=0.1,0.5,1|seed=1|series=PBBF-0.5|x=12|delta=12|p=0.5|q=0.25",
+		},
+		{
+			"extchurn", Large(),
+			Point{Series: "PSM", X: 0.1, Params: map[string]float64{"churn": 0.1}},
+			"extchurn|grid=100x100|iu=2|pt=40|pg=20,40|nn=10000|nr=1|nd=200000000000" +
+				"|q=0,0.5,1|pi=0.5|pn=0.25|ds=10,12|hop=25,70|nth=2,5" +
+				"|duty=0.1,0.5,1|seed=1|series=PSM|x=0.1|churn=0.1",
+		},
+		{
+			"extlifetime", awkward,
+			Point{Series: "PBBF-1/3", X: 1e21, Params: map[string]float64{
+				"duty": 1.0 / 3, "tiny": 1e-7, "neg": math.Copysign(0, -1), "big": 123456789012,
+			}},
+			"extlifetime|grid=30x30|iu=4|pt=40|pg=10,20,30|nn=30|nr=3|nd=300000000000" +
+				"|q=0,0.25,0.5,0.75,1|pi=0.05,0.25,0.5,0.75|pn=0.1,0.5|ds=8,12,16|hop=10,20|nth=2,5" +
+				"|duty=0.1,0.3333333333333333,1|seed=1|proto=sleepsched|energy=1e-07|harvest=0.005" +
+				"|series=PBBF-1/3|x=1e+21|big=1.23456789012e+11|duty=0.3333333333333333|neg=-0|tiny=1e-07",
+		},
+	}
+	for _, c := range cases {
+		if got := PointKey(c.id, c.s, c.pt); got != c.want {
+			t.Errorf("%s key changed — stored results orphaned:\ngot  %q\nwant %q", c.id, got, c.want)
+		}
+	}
+}
+
 // TestPointKeyEnergyBackCompat pins the same contract for the finite-energy
 // axis: the zero value (infinite batteries, the only workload that existed
 // before the axis) must not appear in the key, and a finite budget must.
@@ -121,12 +173,12 @@ func TestPointKeyEnergyBackCompat(t *testing.T) {
 }
 
 // TestScaleKeyCoversEveryField pins the Scale field count: adding a
-// dimension to Scale without extending writeScaleKey would silently alias
+// dimension to Scale without extending appendScaleKey would silently alias
 // distinct workloads to one cache/checkpoint key. When this fails, extend
-// writeScaleKey and bump scaleKeyFields together.
+// appendScaleKey and bump scaleKeyFields together.
 func TestScaleKeyCoversEveryField(t *testing.T) {
 	if n := reflect.TypeOf(Scale{}).NumField(); n != scaleKeyFields {
-		t.Fatalf("Scale has %d fields but writeScaleKey serializes %d — extend the key serialization",
+		t.Fatalf("Scale has %d fields but appendScaleKey serializes %d — extend the key serialization",
 			n, scaleKeyFields)
 	}
 }
@@ -161,4 +213,27 @@ func TestSplitKey(t *testing.T) {
 			t.Fatalf("SplitKey(%q) accepted", bad)
 		}
 	}
+}
+
+var sinkKey string
+
+// BenchmarkPointKey mints one point's key at the quick scale: through
+// PointKey, which serializes the whole scale per call, and through a Keyer
+// built once per run, the way the serving and sweep paths key every point.
+func BenchmarkPointKey(b *testing.B) {
+	s := Quick()
+	pt := samplePoint()
+	b.Run("PointKey", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			sinkKey = PointKey("fig8", s, pt)
+		}
+	})
+	b.Run("Keyer", func(b *testing.B) {
+		k := NewKeyer(s)
+		b.ReportAllocs()
+		for b.Loop() {
+			sinkKey = k.Key("fig8", pt)
+		}
+	})
 }

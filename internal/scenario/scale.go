@@ -164,39 +164,49 @@ func Large() Scale {
 	}
 }
 
-// Presets maps the scale names the CLI accepts to their constructors, in
-// the order they should be documented.
+// presets lists the scale names the CLI accepts with their constructors,
+// in the order they should be documented.
+var presets = [...]struct {
+	name  string
+	build func() Scale
+}{
+	{"quick", Quick},
+	{"paper", Paper},
+	{"bench", Bench},
+	{"large", Large},
+}
+
+// Presets returns every named scale preset, built, in documentation order.
 func Presets() []struct {
 	Name  string
 	Scale Scale
 } {
-	return []struct {
+	out := make([]struct {
 		Name  string
 		Scale Scale
-	}{
-		{"quick", Quick()},
-		{"paper", Paper()},
-		{"bench", Bench()},
-		{"large", Large()},
+	}, len(presets))
+	for i, p := range presets {
+		out[i].Name, out[i].Scale = p.name, p.build()
 	}
+	return out
 }
 
 // ScaleNames returns the preset names the CLI accepts, in documentation
 // order.
 func ScaleNames() []string {
-	presets := Presets()
 	names := make([]string, len(presets))
 	for i, p := range presets {
-		names[i] = p.Name
+		names[i] = p.name
 	}
 	return names
 }
 
-// ByName returns the named scale preset ("quick", "paper", "bench", or "large").
+// ByName returns the named scale preset ("quick", "paper", "bench", or
+// "large"), building only that one.
 func ByName(name string) (Scale, error) {
-	for _, p := range Presets() {
-		if p.Name == name {
-			return p.Scale, nil
+	for _, p := range presets {
+		if p.name == name {
+			return p.build(), nil
 		}
 	}
 	return Scale{}, fmt.Errorf("scenario: unknown scale %q (want %s)", name, strings.Join(ScaleNames(), ", "))

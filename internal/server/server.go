@@ -8,9 +8,10 @@
 // identical requests. Overload is shed, not queued without bound: each
 // client has a token bucket and the run path has a bounded admission
 // queue; both answer 429 with Retry-After. Run results stream back as
-// NDJSON in deterministic point-enumeration order, each line flushed as
-// the point completes, so a paper-scale sweep is observable while it runs.
-// See docs/SERVING.md.
+// NDJSON in deterministic point-enumeration order, flushed whenever the
+// run is about to wait on a simulation, so a paper-scale sweep is
+// observable while it runs and a run answered from the store goes out in
+// one or two writes. See docs/SERVING.md.
 package server
 
 import (
@@ -667,13 +668,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.runs.Add(1)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
-	writeLine := func(v any) {
-		enc.Encode(v) //nolint:errcheck // a dead client surfaces via ctx
-		rc.Flush()    //nolint:errcheck
-	}
-	writeLine(runHeader{
+	out := &runStream{enc: json.NewEncoder(w), rc: http.NewResponseController(w)}
+	out.write(runHeader{
 		Type: "run", Experiment: req.Experiment, Scale: req.Scale,
 		Seed: scale.Seed, Protocol: scale.Protocol,
 		EnergyJ: scale.EnergyJ, HarvestW: scale.HarvestW,
@@ -706,30 +702,94 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			}
 			delete(pending, next)
 			next++
-			writeLine(line)
+			out.write(line)
 		}
 	}
 
+	keyer := scenario.NewKeyer(scale)
 	start := time.Now()
 	_, err = scenario.RunAllCtx(r.Context(), selected, scale, scenario.RunOptions{
 		Workers: workers,
 		Intercept: func(sc scenario.Scenario, pt scenario.Point, compute func() (scenario.Result, error)) (scenario.Result, bool, error) {
-			return s.flight.Do(scenario.PointKey(sc.ID, scale, pt), compute)
+			waited := false
+			res, cached, err := s.flight.Do(keyer.Key(sc.ID, pt), compute, func() {
+				waited = true
+				out.wait()
+			})
+			if waited {
+				out.resume()
+			}
+			return res, cached, err
 		},
 		OnPoint: emit,
 	})
 	if err != nil {
 		// The stream already committed status 200; the error travels as
 		// the final NDJSON line instead.
-		writeLine(errorLine{Type: "error", Error: err.Error()})
+		out.write(errorLine{Type: "error", Error: err.Error()})
 		return
 	}
-	writeLine(doneLine{
+	out.write(doneLine{
 		Type: "done", Jobs: jobs, CachedPoints: cachedPoints,
 		WallMS: float64(time.Since(start).Microseconds()) / 1000,
 		Cache:  s.cacheStats(),
 		Store:  s.results.Stats(),
 	})
+}
+
+// runStream writes one /v1/run NDJSON stream. Lines are not flushed one
+// by one; the stream is flushed
+//
+//  1. right before one of the run's points blocks on a computation, as
+//     the leader running it or as a joiner waiting on another request's;
+//  2. after each line written while any of the run's points is blocked;
+//  3. at the end, by net/http completing the response as the handler
+//     returns, in the same write as the chunked-encoding terminator.
+//
+// So a written line never waits behind a simulation, and a run answered
+// entirely from the store goes out in as few writes as the response
+// buffers allow. Intercept runs on the engine's worker goroutines, so
+// line writes and flushes share mu.
+type runStream struct {
+	mu      sync.Mutex
+	enc     *json.Encoder
+	rc      *http.ResponseController
+	waiting int  // the run's points blocked on a computation now
+	dirty   bool // lines written since the last flush
+}
+
+// write encodes one line, flushing it at once while a point is blocked.
+func (st *runStream) write(v any) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.enc.Encode(v) //nolint:errcheck // a dead client surfaces via ctx
+	st.dirty = true
+	if st.waiting > 0 {
+		st.flushLocked()
+	}
+}
+
+// wait records that a point is about to block and flushes what the
+// stream holds, so the client reads every finished line meanwhile.
+func (st *runStream) wait() {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.waiting++
+	st.flushLocked()
+}
+
+// resume records that a point blocked by wait has its result.
+func (st *runStream) resume() {
+	st.mu.Lock()
+	st.waiting--
+	st.mu.Unlock()
+}
+
+func (st *runStream) flushLocked() {
+	if st.dirty {
+		st.rc.Flush() //nolint:errcheck // a dead client surfaces via ctx
+		st.dirty = false
+	}
 }
 
 // healthResponse is the GET /healthz payload — the liveness/readiness

@@ -45,7 +45,13 @@ func (f *Flight) Store() Store { return f.store }
 // that succeeded. The leader stores its result before publishing it, so a
 // caller arriving after the flight ends hits the store. Compute errors are
 // shared with joined callers but never stored — the next request retries.
-func (f *Flight) Do(key string, compute func() (scenario.Result, error)) (res scenario.Result, cached bool, err error) {
+//
+// beforeWait, when non-nil, is called once, with no lock held, right
+// before the caller blocks on a computation: before it runs compute as
+// the leader, or before it waits on the leader as a joiner. A store hit
+// never calls it. The serving layer flushes its stream there, so results
+// already written never wait behind a simulation.
+func (f *Flight) Do(key string, compute func() (scenario.Result, error), beforeWait func()) (res scenario.Result, cached bool, err error) {
 	if res, ok, _ := f.store.Get(key); ok {
 		return res, true, nil
 	}
@@ -53,6 +59,9 @@ func (f *Flight) Do(key string, compute func() (scenario.Result, error)) (res sc
 	if c, ok := f.inflight[key]; ok {
 		f.joins.Add(1)
 		f.mu.Unlock()
+		if beforeWait != nil {
+			beforeWait()
+		}
 		<-c.done
 		return c.res, c.err == nil, c.err
 	}
@@ -60,6 +69,9 @@ func (f *Flight) Do(key string, compute func() (scenario.Result, error)) (res sc
 	f.inflight[key] = c
 	f.mu.Unlock()
 
+	if beforeWait != nil {
+		beforeWait()
+	}
 	f.computes.Add(1)
 	f.active.Add(1)
 	c.res, c.err = compute()

@@ -88,13 +88,23 @@ func TestFlightStoreHitAndCompute(t *testing.T) {
 		computes++
 		return scenario.Result{Y: 5}, nil
 	}
-	res, cached, err := f.Do(key, compute)
-	if err != nil || cached || res.Y != 5 || computes != 1 {
-		t.Fatalf("first do: %+v cached=%v err=%v computes=%d", res, cached, err, computes)
+	waits := 0
+	wait := func() {
+		if computes != 0 {
+			t.Error("beforeWait called after compute started")
+		}
+		waits++
 	}
-	res, cached, err = f.Do(key, compute)
+	res, cached, err := f.Do(key, compute, wait)
+	if err != nil || cached || res.Y != 5 || computes != 1 || waits != 1 {
+		t.Fatalf("first do: %+v cached=%v err=%v computes=%d waits=%d", res, cached, err, computes, waits)
+	}
+	res, cached, err = f.Do(key, compute, wait)
 	if err != nil || !cached || res.Y != 5 || computes != 1 {
 		t.Fatalf("second do recomputed: %+v cached=%v err=%v computes=%d", res, cached, err, computes)
+	}
+	if waits != 1 {
+		t.Fatalf("a store hit called beforeWait (%d calls)", waits)
 	}
 	if f.Computes() != 1 {
 		t.Fatalf("computes counter %d", f.Computes())
@@ -116,13 +126,14 @@ func TestFlightSingleflight(t *testing.T) {
 		close(started)
 		<-release
 		return scenario.Result{Y: 9}, nil
-	})
+	}, nil)
 	<-started
 
 	const followers = 8
 	var wg sync.WaitGroup
 	results := make([]scenario.Result, followers)
 	cachedFlags := make([]bool, followers)
+	waits := make([]int, followers)
 	for i := 0; i < followers; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -130,7 +141,7 @@ func TestFlightSingleflight(t *testing.T) {
 			res, cached, err := f.Do(key, func() (scenario.Result, error) {
 				t.Error("follower computed")
 				return scenario.Result{}, nil
-			})
+			}, func() { waits[i]++ })
 			if err != nil {
 				t.Error(err)
 			}
@@ -149,8 +160,8 @@ func TestFlightSingleflight(t *testing.T) {
 		t.Fatalf("computes %d", computes)
 	}
 	for i := range results {
-		if results[i].Y != 9 || !cachedFlags[i] {
-			t.Fatalf("follower %d: %+v cached=%v", i, results[i], cachedFlags[i])
+		if results[i].Y != 9 || !cachedFlags[i] || waits[i] != 1 {
+			t.Fatalf("follower %d: %+v cached=%v waits=%d", i, results[i], cachedFlags[i], waits[i])
 		}
 	}
 	if f.Joins() != followers {
@@ -168,7 +179,7 @@ func TestFlightErrorNotStored(t *testing.T) {
 	boom := func() (scenario.Result, error) {
 		return scenario.Result{}, errTest
 	}
-	if _, cached, err := f.Do(key, boom); err != errTest || cached {
+	if _, cached, err := f.Do(key, boom, nil); err != errTest || cached {
 		t.Fatalf("error do: cached=%v err=%v", cached, err)
 	}
 	if ts.Len() != 0 {
@@ -177,7 +188,7 @@ func TestFlightErrorNotStored(t *testing.T) {
 	// The next request retries and can succeed.
 	res, cached, err := f.Do(key, func() (scenario.Result, error) {
 		return scenario.Result{Y: 1}, nil
-	})
+	}, nil)
 	if err != nil || cached || res.Y != 1 {
 		t.Fatalf("retry: %+v cached=%v err=%v", res, cached, err)
 	}
