@@ -1,15 +1,20 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"pbbf/internal/scenario"
 )
@@ -38,6 +43,9 @@ const DiskVersion = 1
 // instead of a silently wrong result.
 type Disk struct {
 	dir string
+	// objects is dir/objects/ with its trailing separator, the prefix of
+	// every record path.
+	objects string
 
 	// renameMu serializes the exists-check + rename step of Put so the
 	// entry counter stays exact under concurrent writers; record
@@ -93,7 +101,7 @@ func Open(dir string) (*Disk, error) {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 	}
-	d := &Disk{dir: dir}
+	d := &Disk{dir: dir, objects: filepath.Join(dir, objectsDir) + string(filepath.Separator)}
 	if err := d.checkManifest(); err != nil {
 		return nil, err
 	}
@@ -161,20 +169,151 @@ func (d *Disk) sweep() (int, error) {
 func (d *Disk) recordPath(key string) string {
 	h := fnv.New128a()
 	h.Write([]byte(key))
-	name := fmt.Sprintf("%x", h.Sum(nil))
-	return filepath.Join(d.dir, objectsDir, name[:2], name)
+	var sum [16]byte
+	var name [32]byte
+	hex.Encode(name[:], h.Sum(sum[:0]))
+	var buf [256]byte
+	p := append(buf[:0], d.objects...)
+	p = append(p, name[:2]...)
+	p = append(p, filepath.Separator)
+	return string(append(p, name[:]...))
 }
 
-// resultSum is the checksum of a record's payload.
+// payloadSum is the FNV-1a 64-bit hash of a record's result payload.
+func payloadSum(payload []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(payload)
+	return h.Sum64()
+}
+
+// appendSum appends sum as the 16 lowercase hex digits a record stores.
+func appendSum(b []byte, sum uint64) []byte {
+	var raw [8]byte
+	binary.BigEndian.PutUint64(raw[:], sum)
+	return hex.AppendEncode(b, raw[:])
+}
+
+// resultSum is the checksum of a record's payload, as the record stores it.
 func resultSum(res scenario.Result) (string, error) {
 	payload, err := json.Marshal(res)
 	if err != nil {
 		return "", err
 	}
-	h := fnv.New64a()
-	h.Write(payload)
-	return fmt.Sprintf("%016x", h.Sum64()), nil
+	var buf [16]byte
+	return string(appendSum(buf[:0], payloadSum(payload))), nil
 }
+
+// The record file is exactly json.Marshal(record{...}) followed by a
+// newline. Put writes it, and Get's fast path recognizes it, as three
+// pieces: the head (every field before the result, then `"result":`), the
+// marshalled Result, and the tail (the sum and the closing brace).
+const (
+	sumField = `,"sum":"`
+	tailLen  = len(sumField) + 16 + len("\"}\n")
+)
+
+// appendRecordHead appends the bytes a record for key (split into id and
+// scaleKey) carries before its result payload.
+func appendRecordHead(b []byte, key, id, scaleKey string) []byte {
+	b = strconv.AppendInt(append(b, `{"version":`...), DiskVersion, 10)
+	b = appendJSONString(append(b, `,"key":`...), key)
+	b = appendJSONString(append(b, `,"scenario":`...), id)
+	b = appendJSONString(append(b, `,"scale":`...), scaleKey)
+	return append(b, `,"result":`...)
+}
+
+// appendRecordTail appends the bytes a record carries after its result
+// payload, whose checksum is sum.
+func appendRecordTail(b []byte, sum uint64) []byte {
+	return append(appendSum(append(b, sumField...), sum), "\"}\n"...)
+}
+
+// appendJSONString appends s as a JSON string quoted byte for byte the way
+// encoding/json quotes it. A string that needs no escaping — every key
+// the registry mints, non-ASCII series labels included — is copied
+// between quotes; any other (one with control bytes, '"', '\\', the HTML
+// escapes '<', '>' and '&', U+2028/U+2029 or invalid UTF-8) is quoted by
+// encoding/json itself.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return appendMarshalled(b, s)
+		}
+	}
+	if !utf8.ValidString(s) || strings.Contains(s, "\u2028") || strings.Contains(s, "\u2029") {
+		return appendMarshalled(b, s)
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// appendMarshalled appends json.Marshal(s), which cannot fail for a string.
+func appendMarshalled(b []byte, s string) []byte {
+	q, _ := json.Marshal(s)
+	return append(b, q...)
+}
+
+// encodeRecord appends the complete record file for res under key: the
+// bytes json.Marshal(record{...}) plus a newline would produce, with the
+// result marshalled once for both the payload and its checksum.
+func encodeRecord(b []byte, key, id, scaleKey string, res scenario.Result) ([]byte, error) {
+	payload, err := json.Marshal(res)
+	if err != nil {
+		return nil, err
+	}
+	b = appendRecordHead(b, key, id, scaleKey)
+	b = append(b, payload...)
+	return appendRecordTail(b, payloadSum(payload)), nil
+}
+
+// decodeCanonical is Get's fast path: it accepts data only when it is
+// byte for byte the record Put writes for key, and then returns its
+// result. Acceptance requires the exact head key implies, the exact tail
+// the payload's checksum implies, and a payload that is the canonical
+// marshalling of the result it decodes to. Together these make
+// data equal to json.Marshal of a record that passes every check of the
+// full decode, so the fast path serves exactly what that decode would.
+// Anything else — including every corrupt record — reports false and is
+// left to the full decode, which alone decides between a miss, a
+// quarantine and a non-canonical but valid hit.
+func decodeCanonical(data []byte, key string) (scenario.Result, bool) {
+	// Invalid UTF-8 in a key does not survive a JSON round trip, so the
+	// full decode never matches such a key; neither may the fast path.
+	if !utf8.ValidString(key) {
+		return scenario.Result{}, false
+	}
+	id, scaleKey, _, err := scenario.SplitKey(key)
+	if err != nil {
+		return scenario.Result{}, false
+	}
+	var buf [1024]byte
+	head := appendRecordHead(buf[:0], key, id, scaleKey)
+	if len(data) < len(head)+tailLen || !bytes.HasPrefix(data, head) {
+		return scenario.Result{}, false
+	}
+	payload := data[len(head) : len(data)-tailLen]
+	var tail [tailLen]byte
+	if !bytes.Equal(data[len(data)-tailLen:], appendRecordTail(tail[:0], payloadSum(payload))) {
+		return scenario.Result{}, false
+	}
+	var res scenario.Result
+	if err := json.Unmarshal(payload, &res); err != nil {
+		return scenario.Result{}, false
+	}
+	canon, err := json.Marshal(&res) // res already escapes to Unmarshal; no second copy
+	if err != nil || !bytes.Equal(canon, payload) {
+		return scenario.Result{}, false
+	}
+	return res, true
+}
+
+// readPool recycles Get's read buffers; records are well under a
+// kilobyte, so one buffer per concurrent reader is all a hit allocates
+// for its bytes.
+var readPool = sync.Pool{New: func() any { b := make([]byte, 0, 2048); return &b }}
+
+// maxPooledRead caps the buffer size returned to readPool, so one
+// oversized (corrupt) file does not pin its size in the pool.
+const maxPooledRead = 64 << 10
 
 // Get reads and verifies the record stored under key. A missing record is
 // a plain miss; a record that fails any self-check (unparsable JSON, wrong
@@ -185,7 +324,16 @@ func resultSum(res scenario.Result) (string, error) {
 // left in place and reported as a miss.
 func (d *Disk) Get(key string) (scenario.Result, bool, error) {
 	path := d.recordPath(key)
-	data, err := os.ReadFile(path)
+	bp := readPool.Get().(*[]byte)
+	data, err := readRecord(path, (*bp)[:0])
+	// Nothing Get returns aliases data: the fast path returns plain
+	// numbers, and json.Unmarshal copies every string it decodes.
+	defer func() {
+		if cap(data) <= maxPooledRead {
+			*bp = data[:0]
+			readPool.Put(bp)
+		}
+	}()
 	if os.IsNotExist(err) {
 		d.misses.Add(1)
 		return scenario.Result{}, false, nil
@@ -193,6 +341,10 @@ func (d *Disk) Get(key string) (scenario.Result, bool, error) {
 	if err != nil {
 		d.errors.Add(1)
 		return scenario.Result{}, false, fmt.Errorf("store: %w", err)
+	}
+	if res, ok := decodeCanonical(data, key); ok {
+		d.hits.Add(1)
+		return res, true, nil
 	}
 	var rec record
 	if err := json.Unmarshal(data, &rec); err != nil {
@@ -237,16 +389,21 @@ func (rec record) verify() string {
 // quarantine moves a failed record out of the object tree (keeping its
 // hashed name) so the next Get recomputes, and the operator can inspect
 // what went wrong. Removal failures fall back to deletion; the one thing
-// that must not happen is serving the record again.
+// that must not happen is serving the record again. Concurrent Gets of one
+// corrupt record each count their miss, but only the one whose rename (or
+// removal) took the file away counts the quarantine and the lost entry.
 func (d *Disk) quarantine(path, reason string) {
-	d.quarantined.Add(1)
 	d.misses.Add(1)
-	d.entries.Add(-1)
 	dst := filepath.Join(d.dir, quarantineDir, filepath.Base(path))
 	if err := os.Rename(path, dst); err != nil {
-		os.Remove(path)
+		if os.Remove(path) == nil {
+			d.quarantined.Add(1)
+			d.entries.Add(-1)
+		}
 		return
 	}
+	d.quarantined.Add(1)
+	d.entries.Add(-1)
 	// Best-effort sidecar naming the failure, for post-mortems.
 	os.WriteFile(dst+".reason", []byte(reason+"\n"), 0o644)
 }
@@ -262,24 +419,11 @@ func (d *Disk) Put(key string, res scenario.Result) error {
 		d.errors.Add(1)
 		return fmt.Errorf("store: %w", err)
 	}
-	sum, err := resultSum(res)
+	data, err := encodeRecord(make([]byte, 0, 2*len(key)+256), key, id, scaleKey, res)
 	if err != nil {
 		d.errors.Add(1)
 		return fmt.Errorf("store: %w", err)
 	}
-	data, err := json.Marshal(record{
-		Version:  DiskVersion,
-		Key:      key,
-		Scenario: id,
-		Scale:    scaleKey,
-		Result:   res,
-		Sum:      sum,
-	})
-	if err != nil {
-		d.errors.Add(1)
-		return fmt.Errorf("store: %w", err)
-	}
-	data = append(data, '\n')
 	path := d.recordPath(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		d.errors.Add(1)
