@@ -124,7 +124,7 @@ func runSweep(ctx context.Context, args []string, out, errOut io.Writer) error {
 		if *verbose {
 			accessLog = errOut
 		}
-		srv, err := server.New(server.Config{
+		srv, err := server.New(server.Options{
 			Registry:    reg,
 			Coordinator: coord,
 			AccessLog:   accessLog,

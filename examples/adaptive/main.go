@@ -66,7 +66,7 @@ func runOnce(field topo.Topology, params core.Params, adaptive *core.AdaptiveCon
 		Lambda:   0.01,
 		Duration: 600 * time.Second,
 		K:        1,
-		LossRate: loss,
+		Loss:     netsim.LossOptions{Rate: loss},
 		Seed:     21,
 	})
 	if err != nil {

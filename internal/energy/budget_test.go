@@ -30,9 +30,9 @@ func TestBudgetValidate(t *testing.T) {
 }
 
 func TestMeterInfiniteNeverDepletes(t *testing.T) {
-	m := NewMeter(Mica2(), Transmit, 0)
+	m := New(Config{Profile: Mica2(), Initial: Transmit})
 	if m.Finite() {
-		t.Fatal("deprecated constructor produced a finite battery")
+		t.Fatal("zero Budget produced a finite battery")
 	}
 	if !math.IsInf(m.RemainingAt(1e6*time.Second), 1) {
 		t.Fatalf("remaining = %v, want +Inf", m.RemainingAt(1e6*time.Second))
@@ -163,9 +163,9 @@ func TestBankSetBudgetPerNode(t *testing.T) {
 	}
 }
 
-// Reset (the deprecated alias) must keep meaning "infinite batteries", and a
-// steady-state Init/Reset on a warm bank must not allocate: pooled runs call
-// it once per run for fields of thousands of nodes.
+// Re-Init with a zero Budget must mean "infinite batteries" again, and a
+// steady-state Init on a warm bank must not allocate: pooled runs call it
+// once per run for fields of thousands of nodes.
 func TestBankInitReuseNoAlloc(t *testing.T) {
 	b := NewBank()
 	cfg := Config{Profile: Mica2(), Initial: Idle, Budget: Budget{CapacityJ: 1}}
@@ -173,15 +173,15 @@ func TestBankInitReuseNoAlloc(t *testing.T) {
 	b.SetState(5, Transmit, time.Second)
 	allocs := testing.AllocsPerRun(10, func() {
 		b.Init(64, cfg)
-		b.Reset(64, Mica2(), Idle, 0)
+		b.Init(64, Config{Profile: Mica2(), Initial: Idle})
 	})
 	if allocs != 0 {
-		t.Fatalf("warm Init+Reset allocated %v times per run, want 0", allocs)
+		t.Fatalf("warm Init allocated %v times per run, want 0", allocs)
 	}
 	if b.Finite(5) {
-		t.Fatal("Reset kept a finite budget from the earlier Init")
+		t.Fatal("re-Init kept a finite budget from the earlier Init")
 	}
 	if got := b.EnergyAt(5, 0); got != 0 {
-		t.Fatalf("Reset did not clear accrued energy: %v", got)
+		t.Fatalf("re-Init did not clear accrued energy: %v", got)
 	}
 }

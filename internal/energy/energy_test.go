@@ -46,7 +46,7 @@ func TestProfilePowerUnknownState(t *testing.T) {
 }
 
 func TestMeterSingleState(t *testing.T) {
-	m := NewMeter(Mica2(), Idle, 0)
+	m := New(Config{Profile: Mica2(), Initial: Idle})
 	got := m.EnergyAt(10 * time.Second)
 	if !almostEqual(got, 0.3, 1e-9) {
 		t.Fatalf("10s idle = %v J, want 0.3", got)
@@ -54,7 +54,7 @@ func TestMeterSingleState(t *testing.T) {
 }
 
 func TestMeterTransitions(t *testing.T) {
-	m := NewMeter(Mica2(), Idle, 0)
+	m := New(Config{Profile: Mica2(), Initial: Idle})
 	m.SetState(Transmit, 1*time.Second) // 1s idle
 	m.SetState(Sleep, 2*time.Second)    // 1s transmit
 	m.SetState(Idle, 12*time.Second)    // 10s sleep
@@ -66,7 +66,7 @@ func TestMeterTransitions(t *testing.T) {
 }
 
 func TestMeterTimeIn(t *testing.T) {
-	m := NewMeter(Mica2(), Sleep, 0)
+	m := New(Config{Profile: Mica2(), Initial: Sleep})
 	m.SetState(Idle, 5*time.Second)
 	m.SetState(Sleep, 7*time.Second)
 	m.Finish(10 * time.Second)
@@ -85,7 +85,7 @@ func TestMeterTimeIn(t *testing.T) {
 }
 
 func TestMeterSameStateNoOp(t *testing.T) {
-	m := NewMeter(Mica2(), Idle, 0)
+	m := New(Config{Profile: Mica2(), Initial: Idle})
 	m.SetState(Idle, 5*time.Second)
 	got := m.EnergyAt(10 * time.Second)
 	if !almostEqual(got, 0.3, 1e-9) {
@@ -94,7 +94,7 @@ func TestMeterSameStateNoOp(t *testing.T) {
 }
 
 func TestMeterClockRegressionClamped(t *testing.T) {
-	m := NewMeter(Mica2(), Idle, 10*time.Second)
+	m := New(Config{Profile: Mica2(), Initial: Idle, Start: 10 * time.Second})
 	// Same-timestamp callbacks may call with an equal or (never truly
 	// earlier) clamped time; energy must not go negative.
 	m.SetState(Sleep, 10*time.Second)
@@ -131,7 +131,7 @@ func TestPropertyEnergyConservation(t *testing.T) {
 	check := func(seed uint64) bool {
 		r := rng.New(seed)
 		p := Mica2()
-		m := NewMeter(p, Idle, 0)
+		m := New(Config{Profile: p, Initial: Idle})
 		now := time.Duration(0)
 		for i := 0; i < 50; i++ {
 			now += time.Duration(r.Intn(5000)) * time.Millisecond
@@ -156,7 +156,7 @@ func TestPropertyEnergyConservation(t *testing.T) {
 func TestPropertyMonotoneEnergy(t *testing.T) {
 	check := func(seed uint64) bool {
 		r := rng.New(seed)
-		m := NewMeter(Mica2(), Sleep, 0)
+		m := New(Config{Profile: Mica2(), Initial: Sleep})
 		now := time.Duration(0)
 		prev := 0.0
 		states := []State{Sleep, Idle, Receive, Transmit}
@@ -177,7 +177,7 @@ func TestPropertyMonotoneEnergy(t *testing.T) {
 }
 
 func BenchmarkMeterSetState(b *testing.B) {
-	m := NewMeter(Mica2(), Idle, 0)
+	m := New(Config{Profile: Mica2(), Initial: Idle})
 	for i := 0; i < b.N; i++ {
 		m.SetState(State(i%4+1), time.Duration(i)*time.Millisecond)
 	}

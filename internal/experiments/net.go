@@ -114,7 +114,7 @@ func runNetPoint(ctx context.Context, s Scale, params core.Params, delta float64
 	defer release()
 	// A context-carried trace provider hands out one sink per run — the
 	// `pbbf trace` subcommand and the bench overhead gate. No provider
-	// (every sweep/serve path) leaves every Config.Trace nil.
+	// (every sweep/serve path) leaves every MAC.Trace nil.
 	tracer := trace.ProviderFrom(ctx)
 	point := &netPoint{
 		LatencyAtHop: make(map[int]*stats.Accumulator, len(s.NetTrackHops)),
@@ -142,17 +142,16 @@ func runNetPoint(ctx context.Context, s Scale, params core.Params, delta float64
 		}
 		macCfg := mac.DefaultConfig(params)
 		macCfg.Adaptive = opts.adaptive
+		macCfg.Protocol = proto
 		// The paper chooses one random node as source per scenario.
 		source := topo.NodeID(r.Intn(field.N()))
-		var sink trace.Sink
 		if tracer != nil {
-			sink = tracer.BeginRun(run)
+			macCfg.Trace = tracer.BeginRun(run)
 		}
 		res, err := pools.net.Run(netsim.Config{
 			Topo:      field,
 			Source:    source,
 			MAC:       macCfg,
-			Protocol:  proto,
 			Lambda:    0.01,
 			Duration:  s.NetDuration,
 			K:         opts.k,
@@ -161,7 +160,6 @@ func runNetPoint(ctx context.Context, s Scale, params core.Params, delta float64
 			Churn:     opts.churn,
 			Hetero:    opts.hetero,
 			Energy:    energyOpts,
-			Trace:     sink,
 			Seed:      seed,
 		})
 		if err != nil {

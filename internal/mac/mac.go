@@ -86,6 +86,8 @@ type Config struct {
 	// sleep/wake, energy transitions, death). Recording is pure
 	// observation: it draws no randomness and changes no decision, so a
 	// traced run computes byte-identical results to an untraced one.
+	// netsim also feeds it the channel's drop events, and a nil sink adds
+	// no allocations to the hot path.
 	Trace trace.Sink
 }
 

@@ -146,7 +146,7 @@ func deathTimes(t *testing.T, events []trace.Event) map[int32]time.Duration {
 func TestDepletionSilencesNode(t *testing.T) {
 	cfg := energyTestConfig(t, EnergyOptions{InitialJ: 0.4, JitterFrac: 0.2})
 	var slab trace.Slab
-	cfg.Trace = &slab
+	cfg.MAC.Trace = &slab
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestMidTransmissionDepletion(t *testing.T) {
 	const probeJ = 1000 // outlasts any 300 s run; keeps Energy.Enabled() true
 	probe := energyTestConfig(t, EnergyOptions{InitialJ: probeJ})
 	var probeSlab trace.Slab
-	probe.Trace = &probeSlab
+	probe.MAC.Trace = &probeSlab
 	if _, err := Run(probe); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestMidTransmissionDepletion(t *testing.T) {
 	// sender dies mid-air before any other node depletes.
 	cutoff := energyTestConfig(t, EnergyOptions{InitialJ: spentJ + profile.TransmitW*airtime.Seconds()/2})
 	var slab trace.Slab
-	cutoff.Trace = &slab
+	cutoff.MAC.Trace = &slab
 	res, err := Run(cutoff)
 	if err != nil {
 		t.Fatal(err)

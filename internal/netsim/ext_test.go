@@ -8,15 +8,15 @@ import (
 
 func TestLossRateValidation(t *testing.T) {
 	cfg := scenario(t, core.PSM(), 20, 10, 1)
-	cfg.LossRate = -0.1
+	cfg.Loss.Rate = -0.1
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative loss accepted")
 	}
-	cfg.LossRate = 1
+	cfg.Loss.Rate = 1
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("loss rate 1 accepted")
 	}
-	cfg.LossRate = 0.5
+	cfg.Loss.Rate = 0.5
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestLossReducesReliability(t *testing.T) {
 		t.Fatal(err)
 	}
 	lossy := scenario(t, core.Params{P: 0.5, Q: 0.25}, 30, 10, 11)
-	lossy.LossRate = 0.4
+	lossy.Loss.Rate = 0.4
 	resLossy, err := Run(lossy)
 	if err != nil {
 		t.Fatal(err)
@@ -42,13 +42,13 @@ func TestLossReducesReliability(t *testing.T) {
 
 func TestKBatchingImprovesLossyReliability(t *testing.T) {
 	k1 := scenario(t, core.Params{P: 0.5, Q: 0.1}, 30, 10, 12)
-	k1.LossRate = 0.2
+	k1.Loss.Rate = 0.2
 	res1, err := Run(k1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	k4 := scenario(t, core.Params{P: 0.5, Q: 0.1}, 30, 10, 12)
-	k4.LossRate = 0.2
+	k4.Loss.Rate = 0.2
 	k4.K = 4
 	res4, err := Run(k4)
 	if err != nil {
@@ -83,7 +83,7 @@ func TestAdaptiveMACDeterministic(t *testing.T) {
 		ac := core.DefaultAdaptiveConfig()
 		ac.Initial = cfg.MAC.Params
 		cfg.MAC.Adaptive = &ac
-		cfg.LossRate = 0.2
+		cfg.Loss.Rate = 0.2
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)

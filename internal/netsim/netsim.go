@@ -18,12 +18,10 @@ import (
 	"pbbf/internal/codedist"
 	"pbbf/internal/mac"
 	"pbbf/internal/phy"
-	"pbbf/internal/protocol"
 	"pbbf/internal/rng"
 	"pbbf/internal/sim"
 	"pbbf/internal/stats"
 	"pbbf/internal/topo"
-	"pbbf/internal/trace"
 )
 
 // LossOptions groups the channel-loss knobs — one option struct per fault/
@@ -105,10 +103,6 @@ type Config struct {
 	Source topo.NodeID
 	// MAC holds the PSM timing, PBBF knobs, bit rate, and frame sizes.
 	MAC mac.Config
-	// Protocol selects the broadcast protocol every node runs
-	// (internal/protocol); the zero value is PBBF. It is threaded into
-	// MAC.Protocol, and setting both to different protocols is an error.
-	Protocol protocol.Spec
 	// Lambda is the update generation rate (Table 1: 0.01 updates/s).
 	Lambda float64
 	// Duration is the simulated time (Section 5: 500 s).
@@ -133,85 +127,12 @@ type Config struct {
 	// each node's MAC config, so setting this alongside a non-zero
 	// MAC.Energy is a conflict.
 	Energy EnergyOptions
-	// Trace, when non-nil, receives the run's event stream (every node's
-	// tx/rx/sleep/wake/energy events plus channel drops). Tracing is pure
-	// observation: traced and untraced runs produce identical Results,
-	// and a nil sink adds no allocations to the hot path.
-	Trace trace.Sink
 	// Seed drives every coin in the run.
 	Seed uint64
-
-	// Deprecated: LossRate is Loss.Rate under the pre-option-struct API.
-	// The aliases below are folded into their option structs by every
-	// entry point (conflicting non-zero assignments are an error) and are
-	// kept so existing callers — and the seeded point identities derived
-	// from them — stay valid.
-	LossRate float64
-	// Deprecated: LinkLossMean is Loss.LinkMean.
-	LinkLossMean float64
-	// Deprecated: ChurnFailFraction is Churn.FailFraction.
-	ChurnFailFraction float64
 }
 
-// normalized folds the deprecated alias fields into their option structs
-// and threads Protocol into the MAC config, rejecting conflicting
-// assignments. Every entry point (Run, RunPool.Run, Validate) operates on
-// the normalized form, so both spellings behave identically.
-func (c Config) normalized() (Config, error) {
-	if c.LossRate != 0 {
-		if c.Loss.Rate != 0 && c.Loss.Rate != c.LossRate {
-			return c, fmt.Errorf("netsim: deprecated LossRate %v conflicts with Loss.Rate %v", c.LossRate, c.Loss.Rate)
-		}
-		c.Loss.Rate = c.LossRate
-		c.LossRate = 0
-	}
-	if c.LinkLossMean != 0 {
-		if c.Loss.LinkMean != 0 && c.Loss.LinkMean != c.LinkLossMean {
-			return c, fmt.Errorf("netsim: deprecated LinkLossMean %v conflicts with Loss.LinkMean %v", c.LinkLossMean, c.Loss.LinkMean)
-		}
-		c.Loss.LinkMean = c.LinkLossMean
-		c.LinkLossMean = 0
-	}
-	if c.ChurnFailFraction != 0 {
-		if c.Churn.FailFraction != 0 && c.Churn.FailFraction != c.ChurnFailFraction {
-			return c, fmt.Errorf("netsim: deprecated ChurnFailFraction %v conflicts with Churn.FailFraction %v",
-				c.ChurnFailFraction, c.Churn.FailFraction)
-		}
-		c.Churn.FailFraction = c.ChurnFailFraction
-		c.ChurnFailFraction = 0
-	}
-	if c.Protocol != (protocol.Spec{}) {
-		if c.MAC.Protocol != (protocol.Spec{}) && c.MAC.Protocol != c.Protocol {
-			return c, fmt.Errorf("netsim: Protocol %q conflicts with MAC.Protocol %q",
-				c.Protocol.Name, c.MAC.Protocol.Name)
-		}
-		c.MAC.Protocol = c.Protocol
-	}
-	if c.Trace != nil {
-		if c.MAC.Trace != nil && c.MAC.Trace != c.Trace {
-			return c, fmt.Errorf("netsim: Trace conflicts with MAC.Trace")
-		}
-		c.MAC.Trace = c.Trace
-	}
-	if c.Energy != (EnergyOptions{}) && c.MAC.Energy != (mac.EnergyOptions{}) {
-		// Energy folds per node (jitter draws a budget for each), not
-		// here; a hand-set MAC budget would be silently overwritten.
-		return c, fmt.Errorf("netsim: Energy conflicts with MAC.Energy; set one")
-	}
-	return c, nil
-}
-
-// Validate checks the configuration (after alias normalization).
+// Validate checks the configuration.
 func (c Config) Validate() error {
-	c, err := c.normalized()
-	if err != nil {
-		return err
-	}
-	return c.validateNormalized()
-}
-
-// validateNormalized checks a configuration normalized has already folded.
-func (c Config) validateNormalized() error {
 	if c.Topo == nil || c.Topo.N() == 0 {
 		return fmt.Errorf("netsim: empty topology")
 	}
@@ -244,6 +165,11 @@ func (c Config) validateNormalized() error {
 	}
 	if err := c.Energy.Validate(); err != nil {
 		return err
+	}
+	if c.Energy != (EnergyOptions{}) && c.MAC.Energy != (mac.EnergyOptions{}) {
+		// Energy folds per node (jitter draws a budget for each); a
+		// hand-set MAC budget would be silently overwritten.
+		return fmt.Errorf("netsim: Energy conflicts with MAC.Energy; set one")
 	}
 	return nil
 }
@@ -326,11 +252,7 @@ func lifetimeMetrics(res *Result, cfg *Config, nodes []*mac.Node, buf []time.Dur
 
 // Run executes one scenario.
 func Run(cfg Config) (*Result, error) {
-	cfg, err := cfg.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if err := cfg.validateNormalized(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	kernel := sim.NewKernel()

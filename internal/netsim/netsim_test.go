@@ -45,6 +45,10 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.Lambda = 0 },
 		func(c *Config) { c.Duration = 0 },
 		func(c *Config) { c.K = 0 },
+		func(c *Config) { // a hand-set MAC budget conflicts with Energy
+			c.Energy.InitialJ = 1
+			c.MAC.Energy.InitialJ = 1
+		},
 	}
 	for i, mutate := range mutations {
 		cfg := scenario(t, core.PSM(), 20, 10, 1)

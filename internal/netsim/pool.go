@@ -111,11 +111,7 @@ func (p *RunPool) killFor(i int) func() {
 // operations — and in particular of random draws — mirrors the package
 // Run function step for step; see the comments there for the rationale.
 func (p *RunPool) Run(cfg Config) (*Result, error) {
-	cfg, err := cfg.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if err := cfg.validateNormalized(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	p.cfg = cfg

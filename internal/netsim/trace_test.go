@@ -21,7 +21,7 @@ func TestTraceNeutrality(t *testing.T) {
 
 		var freshSlab trace.Slab
 		traced := cfg
-		traced.Trace = &freshSlab
+		traced.MAC.Trace = &freshSlab
 		got, err := Run(traced)
 		if err != nil {
 			t.Fatalf("config %d: traced run: %v", i, err)
@@ -34,7 +34,7 @@ func TestTraceNeutrality(t *testing.T) {
 		}
 
 		var pooledSlab trace.Slab
-		traced.Trace = &pooledSlab
+		traced.MAC.Trace = &pooledSlab
 		pool := NewRunPool()
 		if _, err := pool.Run(traced); err != nil {
 			t.Fatalf("config %d: pooled traced run: %v", i, err)
@@ -67,7 +67,7 @@ func TestTraceNilSinkAllocFree(t *testing.T) {
 		}
 	})
 	traced := cfg
-	traced.Trace = trace.Discard
+	traced.MAC.Trace = trace.Discard
 	if _, err := pool.Run(traced); err != nil {
 		t.Fatal(err)
 	}

@@ -80,14 +80,6 @@ func NewCheckpointFor(id Identity) *Checkpoint {
 	}
 }
 
-// NewCheckpoint returns an empty checkpoint for the given run identity
-// with the default (infinite-battery) energy axis.
-//
-// Deprecated: use NewCheckpointFor with an Identity.
-func NewCheckpoint(experiment, scale string, seed uint64, protocol string) *Checkpoint {
-	return NewCheckpointFor(Identity{Experiment: experiment, Scale: scale, Seed: seed, Protocol: protocol})
-}
-
 // MatchesIdentity reports whether the checkpoint was recorded for the same
 // run identity, with a descriptive error when it was not.
 func (c *Checkpoint) MatchesIdentity(id Identity) error {
@@ -97,14 +89,6 @@ func (c *Checkpoint) MatchesIdentity(id Identity) error {
 			id.Experiment, id.Scale, id.Seed, protoLabel(id.Protocol), id.EnergyJ, id.HarvestW)
 	}
 	return nil
-}
-
-// Matches reports whether the checkpoint was recorded for the same run
-// identity with the default energy axis.
-//
-// Deprecated: use MatchesIdentity with an Identity.
-func (c *Checkpoint) Matches(experiment, scale string, seed uint64, protocol string) error {
-	return c.MatchesIdentity(Identity{Experiment: experiment, Scale: scale, Seed: seed, Protocol: protocol})
 }
 
 // protoLabel names the default protocol in error messages; an empty string

@@ -10,7 +10,7 @@ import (
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt.json")
-	cp := NewCheckpoint("all", "quick", 7, "")
+	cp := NewCheckpointFor(Identity{Experiment: "all", Scale: "quick", Seed: 7})
 	cp.Results["k1"] = Result{Y: 1.5, EnergyJ: 2, Delivery: 1}
 	cp.Results["k2"] = Result{Skip: true}
 	if err := cp.WriteFile(path); err != nil {
@@ -51,7 +51,7 @@ func TestCheckpointRejectsCorruptAndWrongVersion(t *testing.T) {
 	}
 
 	old := filepath.Join(dir, "old.json")
-	cp := NewCheckpoint("all", "quick", 1, "")
+	cp := NewCheckpointFor(Identity{Experiment: "all", Scale: "quick", Seed: 1})
 	cp.Version = CheckpointVersion + 1
 	if err := cp.WriteFile(old); err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestCheckpointRejectsCorruptAndWrongVersion(t *testing.T) {
 
 func TestCheckpointWriterAppends(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.ckpt")
-	cp := NewCheckpoint("all", "quick", 1, "")
+	cp := NewCheckpointFor(Identity{Experiment: "all", Scale: "quick", Seed: 1})
 	w, err := cp.OpenWriter(path)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestCheckpointWriterAppends(t *testing.T) {
 // truncated trailing entry is skipped, everything before it survives.
 func TestCheckpointToleratesTornFinalLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "torn.ckpt")
-	cp := NewCheckpoint("all", "quick", 1, "")
+	cp := NewCheckpointFor(Identity{Experiment: "all", Scale: "quick", Seed: 1})
 	w, err := cp.OpenWriter(path)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestCheckpointToleratesTornFinalLine(t *testing.T) {
 
 	// Corruption before the end is real corruption, not a torn write.
 	mid := filepath.Join(t.TempDir(), "mid.ckpt")
-	cp2 := NewCheckpoint("all", "quick", 1, "")
+	cp2 := NewCheckpointFor(Identity{Experiment: "all", Scale: "quick", Seed: 1})
 	if err := cp2.WriteFile(mid); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestCheckpointToleratesTornFinalLine(t *testing.T) {
 func TestCheckpointCompaction(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sweep.ckpt")
-	cp := NewCheckpoint("all", "quick", 1, "")
+	cp := NewCheckpointFor(Identity{Experiment: "all", Scale: "quick", Seed: 1})
 	w, err := cp.OpenWriter(path)
 	if err != nil {
 		t.Fatal(err)
@@ -242,38 +242,30 @@ func TestCheckpointCompaction(t *testing.T) {
 }
 
 func TestCheckpointMatches(t *testing.T) {
-	cp := NewCheckpoint("all", "quick", 1, "")
-	if err := cp.Matches("all", "quick", 1, ""); err != nil {
+	cp := NewCheckpointFor(Identity{Experiment: "all", Scale: "quick", Seed: 1})
+	if err := cp.MatchesIdentity(Identity{Experiment: "all", Scale: "quick", Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		exp, scale string
-		seed       uint64
-		proto      string
-	}{
-		{"fig8", "quick", 1, ""},
-		{"all", "paper", 1, ""},
-		{"all", "quick", 2, ""},
-		{"all", "quick", 1, "ola"},
+	for _, id := range []Identity{
+		{Experiment: "fig8", Scale: "quick", Seed: 1},
+		{Experiment: "all", Scale: "paper", Seed: 1},
+		{Experiment: "all", Scale: "quick", Seed: 2},
+		{Experiment: "all", Scale: "quick", Seed: 1, Protocol: "ola"},
 	} {
-		if err := cp.Matches(c.exp, c.scale, c.seed, c.proto); err == nil {
-			t.Fatalf("mismatched identity %+v accepted", c)
+		if err := cp.MatchesIdentity(id); err == nil {
+			t.Fatalf("mismatched identity %+v accepted", id)
 		}
 	}
 }
 
 // TestCheckpointIdentityEnergy: the energy axis is part of the run
-// identity — a default-axis checkpoint must not resume a finite-energy
-// sweep or vice versa — while the default axis stays interchangeable with
-// the deprecated four-field constructors (old journals keep loading).
+// identity: a default-axis checkpoint must not resume a finite-energy
+// sweep or vice versa.
 func TestCheckpointIdentityEnergy(t *testing.T) {
 	id := Identity{Experiment: "all", Scale: "quick", Seed: 1}
 	cp := NewCheckpointFor(id)
 	if err := cp.MatchesIdentity(id); err != nil {
 		t.Fatal(err)
-	}
-	if err := cp.Matches("all", "quick", 1, ""); err != nil {
-		t.Fatalf("deprecated Matches rejected the default axis: %v", err)
 	}
 	energized := id
 	energized.EnergyJ = 1.5
@@ -297,7 +289,7 @@ func TestCheckpointIdentityEnergy(t *testing.T) {
 func TestCheckpointHeaderBackCompat(t *testing.T) {
 	dir := t.TempDir()
 	plain := filepath.Join(dir, "plain.ckpt")
-	cp := NewCheckpoint("all", "quick", 7, "")
+	cp := NewCheckpointFor(Identity{Experiment: "all", Scale: "quick", Seed: 7})
 	if err := cp.WriteFile(plain); err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pbbf/internal/cache"
 	"pbbf/internal/dist"
 	"pbbf/internal/protocol"
 	"pbbf/internal/scenario"
@@ -100,10 +99,8 @@ type LimitOptions struct {
 }
 
 // Options is the validated server configuration: the registry plus one
-// option struct per concern, following the conflict-rejecting normalized()
-// idiom of netsim.Config. Deprecated flat aliases from the pre-store API
-// are folded in by normalized(); setting both spellings to conflicting
-// values is an error, never a silent preference.
+// option struct per concern. Setting options that conflict is an error,
+// never a silent preference.
 type Options struct {
 	// Registry holds the scenarios the server can run. Required.
 	Registry *scenario.Registry
@@ -134,33 +131,12 @@ type Options struct {
 	// them only on loopback or otherwise-trusted listeners. Off by
 	// default.
 	EnablePprof bool
-
-	// Deprecated: Cache injects a prebuilt memory cache — the pre-store
-	// API. It conflicts with Results and with non-zero Mem sizing; use
-	// Mem (sizing) or Results (injection) instead.
-	Cache *cache.Cache[scenario.Result]
 }
 
-// Config is the pre-options name of Options.
-//
-// Deprecated: construct Options directly; Config remains so existing
-// callers keep compiling.
-type Config = Options
-
-// normalized folds the deprecated aliases into their option structs,
-// rejects conflicting assignments, and fills defaults — the same pass
-// netsim.Config runs before use, so both spellings behave identically.
+// normalized rejects invalid or conflicting options and fills defaults.
 func (o Options) normalized() (Options, error) {
 	if o.Registry == nil {
 		return o, fmt.Errorf("server: nil registry")
-	}
-	if o.Cache != nil {
-		if o.Results != nil {
-			return o, fmt.Errorf("server: deprecated Cache conflicts with Results")
-		}
-		if o.Mem != (CacheOptions{}) {
-			return o, fmt.Errorf("server: deprecated Cache conflicts with Mem sizing %+v", o.Mem)
-		}
 	}
 	if o.Results != nil && (o.Mem != (CacheOptions{}) || o.Disk != (StoreOptions{})) {
 		return o, fmt.Errorf("server: Results store conflicts with Mem/Disk options")
@@ -208,26 +184,23 @@ func (o Options) normalized() (Options, error) {
 }
 
 // buildStore assembles the result store a normalized Options describes.
-// memStats additionally reports the memory tier's cache counters when the
-// composition has one (the legacy "cache" key of /v1/stats).
-func (o Options) buildStore() (results store.Store, memStats func() cache.Stats, err error) {
+// mem is the composition's memory tier, which backs the legacy "cache"
+// key of /v1/stats; it is nil for an injected Results store.
+func (o Options) buildStore() (results store.Store, mem *store.Memory, err error) {
 	if o.Results != nil {
 		return o.Results, nil, nil
 	}
-	var mem *store.Memory
-	if o.Cache != nil {
-		mem = store.WrapCache(o.Cache)
-	} else if mem, err = store.NewMemory(o.Mem.Shards, o.Mem.Entries); err != nil {
+	if mem, err = store.NewMemory(o.Mem.Shards, o.Mem.Entries); err != nil {
 		return nil, nil, err
 	}
 	if o.Disk.Dir == "" {
-		return mem, mem.CacheStats, nil
+		return mem, mem, nil
 	}
 	disk, err := store.Open(o.Disk.Dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	return store.Tiered(mem, disk), mem.CacheStats, nil
+	return store.Tiered(mem, disk), mem, nil
 }
 
 // Server is the HTTP front end. It implements http.Handler; use
@@ -236,7 +209,7 @@ type Server struct {
 	reg        *scenario.Registry
 	results    store.Store
 	flight     *store.Flight
-	memStats   func() cache.Stats // nil when no memory tier is visible
+	mem        *store.Memory // nil when no memory tier is visible
 	maxWorkers int
 	coord      *dist.Coordinator
 	mux        *http.ServeMux
@@ -261,7 +234,7 @@ func New(o Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, memStats, err := o.buildStore()
+	results, mem, err := o.buildStore()
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +242,7 @@ func New(o Options) (*Server, error) {
 		reg:        o.Registry,
 		results:    results,
 		flight:     store.NewFlight(results),
-		memStats:   memStats,
+		mem:        mem,
 		maxWorkers: o.MaxWorkers,
 		coord:      o.Coordinator,
 		retryAfter: o.Limits.RetryAfter,
@@ -483,7 +456,7 @@ type statsResponse struct {
 	// Cache is the memory tier's counters — the original stats shape.
 	// Zero when the server runs on an injected Results store with no
 	// visible memory tier.
-	Cache    cache.Stats `json:"cache"`
+	Cache    cacheStats  `json:"cache"`
 	StoreV1  store.Stats `json:"store_v1"`
 	FlightV1 flightStats `json:"flight_v1"`
 	LimitsV1 limitStats  `json:"limits_v1"`
@@ -507,11 +480,33 @@ func (s *Server) flightStats() flightStats {
 	}
 }
 
-func (s *Server) cacheStats() cache.Stats {
-	if s.memStats == nil {
-		return cache.Stats{}
+// cacheStats is the legacy "cache" object of /v1/stats and the run
+// stream's done line: the memory tier's counters in their pre-store shape.
+type cacheStats struct {
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+	// InflightJoins is always 0: the memory tier holds only completed
+	// results. Joins on in-flight computes are counted in flight_v1.joins.
+	InflightJoins uint64 `json:"inflight_joins"`
+	Evictions     uint64 `json:"evictions"`
+	Entries       int    `json:"entries"`
+	Capacity      int    `json:"capacity"`
+	Shards        int    `json:"shards"`
+}
+
+func (s *Server) cacheStats() cacheStats {
+	if s.mem == nil {
+		return cacheStats{}
 	}
-	return s.memStats()
+	ms := s.mem.Stats()
+	return cacheStats{
+		Hits:      ms.Hits,
+		Misses:    ms.Misses,
+		Evictions: ms.Evictions,
+		Entries:   ms.Entries,
+		Capacity:  ms.Capacity,
+		Shards:    ms.Shards,
+	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -583,7 +578,7 @@ type doneLine struct {
 	Jobs         int         `json:"jobs"`
 	CachedPoints int         `json:"cached_points"`
 	WallMS       float64     `json:"wall_ms"`
-	Cache        cache.Stats `json:"cache"`
+	Cache        cacheStats  `json:"cache"`
 	Store        store.Stats `json:"store_v1"`
 }
 

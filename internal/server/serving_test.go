@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"pbbf/internal/cache"
 	"pbbf/internal/scenario"
 	"pbbf/internal/store"
 )
@@ -364,15 +363,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestOptionsValidation pins the normalized() contract: deprecated
-// aliases fold in, conflicting spellings are rejected, bad bounds are
-// rejected.
+// TestOptionsValidation pins the normalized() contract: conflicting
+// options and bad bounds are rejected.
 func TestOptionsValidation(t *testing.T) {
 	reg := scenario.NewRegistry()
-	c, err := cache.New[scenario.Result](2, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
 	mem, err := store.NewMemory(2, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -382,8 +376,6 @@ func TestOptionsValidation(t *testing.T) {
 		opts Options
 	}{
 		{"nil registry", Options{}},
-		{"cache conflicts with results", Options{Registry: reg, Cache: c, Results: mem}},
-		{"cache conflicts with mem sizing", Options{Registry: reg, Cache: c, Mem: CacheOptions{Shards: 4}}},
 		{"results conflicts with mem", Options{Registry: reg, Results: mem, Mem: CacheOptions{Shards: 4}}},
 		{"results conflicts with disk", Options{Registry: reg, Results: mem, Disk: StoreOptions{Dir: "x"}}},
 		{"negative rate", Options{Registry: reg, Limits: LimitOptions{RatePerSec: -1}}},
@@ -398,8 +390,9 @@ func TestOptionsValidation(t *testing.T) {
 		}
 	}
 
-	// The deprecated Cache injection still works and surfaces in stats.
-	srv, err := New(Config{Registry: testRegistry(t), Cache: c})
+	// Mem sizing reaches the memory tier and surfaces in the legacy
+	// "cache" stats.
+	srv, err := New(Options{Registry: testRegistry(t), Mem: CacheOptions{Shards: 2, Entries: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,11 +401,8 @@ func TestOptionsValidation(t *testing.T) {
 	postRun(t, ts, `{"experiment":"fast","scale":"quick"}`)
 	var st statsResponse
 	getJSON(t, ts.URL+"/v1/stats", &st)
-	if st.SchemaVersion != StatsSchemaVersion || st.Cache.Shards != 2 || st.Cache.Misses != 6 {
-		t.Fatalf("injected cache not serving: %+v", st)
-	}
-	if c.Len() != 6 {
-		t.Fatalf("injected cache bypassed: len %d", c.Len())
+	if st.SchemaVersion != StatsSchemaVersion || st.Cache.Shards != 2 || st.Cache.Capacity != 16 || st.Cache.Misses != 6 {
+		t.Fatalf("sized memory tier not serving: %+v", st)
 	}
 
 	// An injected Results store replaces the whole composition.

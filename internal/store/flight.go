@@ -36,9 +36,6 @@ func NewFlight(s Store) *Flight {
 	return &Flight{store: s, inflight: make(map[string]*call)}
 }
 
-// Store returns the wrapped store (for stats snapshots).
-func (f *Flight) Store() Store { return f.store }
-
 // Do returns the result stored under key, computing and storing it on a
 // miss. cached reports whether the caller's result came without running
 // compute here: a store hit, or a join onto another caller's computation

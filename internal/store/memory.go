@@ -1,71 +1,183 @@
 package store
 
 import (
+	"fmt"
+	"sync"
 	"sync/atomic"
 
-	"pbbf/internal/cache"
 	"pbbf/internal/scenario"
 )
 
-// Memory is the in-memory Store backend: the FNV-sharded, LRU-bounded
-// result cache of internal/cache behind the Store contract. It is the
-// fast tier of a Tiered store and the whole store of a server running
-// without a -store directory.
+// Memory is the in-memory Store backend: completed results in a sharded
+// LRU. The key space is split across independently locked shards by
+// FNV-1a hash, and each shard bounds its entry count with LRU eviction.
+// It is the fast tier of a Tiered store and the whole store of a server
+// running without a -store directory. Memory holds only completed
+// results; concurrent computes of one key are de-duplicated by Flight.
 type Memory struct {
-	c    *cache.Cache[scenario.Result]
-	puts atomic.Uint64
+	shards []memShard
+	puts   atomic.Uint64
+}
+
+// memEntry is one stored result; prev/next thread its shard's LRU list
+// (most recent at head).
+type memEntry struct {
+	key        string
+	res        scenario.Result
+	prev, next *memEntry
+}
+
+type memShard struct {
+	mu      sync.Mutex
+	entries map[string]*memEntry
+	// head is the most recently used entry, tail the least.
+	head, tail *memEntry
+	capacity   int
+
+	hits, misses, evictions uint64
 }
 
 // NewMemory builds a memory store with the given shard count and total
-// entry capacity (see cache.New for the constraints).
+// entry capacity, split evenly across shards (the first capacity%shards
+// shards hold one extra entry). The capacity must cover at least one
+// entry per shard.
 func NewMemory(shards, capacity int) (*Memory, error) {
-	c, err := cache.New[scenario.Result](shards, capacity)
-	if err != nil {
-		return nil, err
+	if shards <= 0 {
+		return nil, fmt.Errorf("cache: shard count %d must be positive", shards)
 	}
-	return &Memory{c: c}, nil
+	if capacity < shards {
+		return nil, fmt.Errorf("cache: capacity %d below shard count %d", capacity, shards)
+	}
+	m := &Memory{shards: make([]memShard, shards)}
+	for i := range m.shards {
+		per := capacity / shards
+		if i < capacity%shards {
+			per++
+		}
+		m.shards[i] = memShard{entries: make(map[string]*memEntry), capacity: per}
+	}
+	return m, nil
 }
 
-// WrapCache adapts an existing result cache — the deprecated
-// server.Config.Cache injection path — into a Store.
-func WrapCache(c *cache.Cache[scenario.Result]) *Memory {
-	return &Memory{c: c}
+func (m *Memory) shardFor(key string) *memShard {
+	return &m.shards[fnv1a(key)%uint64(len(m.shards))]
 }
 
-// Get looks the key up in the cache; it never blocks on in-flight entries.
+// Get returns the result stored under key, marking it most recently used.
 func (m *Memory) Get(key string) (scenario.Result, bool, error) {
-	res, ok := m.c.Get(key)
-	return res, ok, nil
+	sh := m.shardFor(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if e, ok := sh.entries[key]; ok {
+		sh.hits++
+		sh.moveToFront(e)
+		return e.res, true, nil
+	}
+	sh.misses++
+	return scenario.Result{}, false, nil
 }
 
-// Put stores the result, LRU-evicting as needed.
+// Put stores the result, LRU-evicting as needed. An existing entry is
+// overwritten in place.
 func (m *Memory) Put(key string, res scenario.Result) error {
-	m.c.Put(key, res)
+	sh := m.shardFor(key)
+	sh.mu.Lock()
+	if e, ok := sh.entries[key]; ok {
+		e.res = res
+		sh.moveToFront(e)
+	} else {
+		e := &memEntry{key: key, res: res}
+		sh.entries[key] = e
+		sh.pushFront(e)
+		sh.evict()
+	}
+	sh.mu.Unlock()
 	m.puts.Add(1)
 	return nil
 }
 
-// Len returns the cached entry count.
-func (m *Memory) Len() int { return m.c.Len() }
-
-// Stats maps the cache's counters onto the store snapshot shape.
-func (m *Memory) Stats() Stats {
-	cs := m.c.Stats()
-	return Stats{
-		Kind:      "memory",
-		Hits:      cs.Hits,
-		Misses:    cs.Misses,
-		Puts:      m.puts.Load(),
-		Entries:   cs.Entries,
-		Evictions: cs.Evictions,
-		Capacity:  cs.Capacity,
-		Shards:    cs.Shards,
+// Len returns the stored entry count.
+func (m *Memory) Len() int {
+	n := 0
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.Lock()
+		n += len(sh.entries)
+		sh.mu.Unlock()
 	}
+	return n
 }
 
-// CacheStats exposes the underlying cache counters for the legacy "cache"
-// key of /v1/stats, which predates the store layer.
-func (m *Memory) CacheStats() cache.Stats { return m.c.Stats() }
+// Stats aggregates the counters across shards.
+func (m *Memory) Stats() Stats {
+	s := Stats{Kind: "memory", Puts: m.puts.Load(), Shards: len(m.shards)}
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.Lock()
+		s.Hits += sh.hits
+		s.Misses += sh.misses
+		s.Evictions += sh.evictions
+		s.Entries += len(sh.entries)
+		s.Capacity += sh.capacity
+		sh.mu.Unlock()
+	}
+	return s
+}
 
 // Close is a no-op: memory holds no external resources.
 func (m *Memory) Close() error { return nil }
+
+// evict drops least-recently-used entries until the shard is within
+// capacity.
+func (sh *memShard) evict() {
+	for len(sh.entries) > sh.capacity {
+		victim := sh.tail
+		sh.unlink(victim)
+		delete(sh.entries, victim.key)
+		sh.evictions++
+	}
+}
+
+func (sh *memShard) pushFront(e *memEntry) {
+	e.prev, e.next = nil, sh.head
+	if sh.head != nil {
+		sh.head.prev = e
+	}
+	sh.head = e
+	if sh.tail == nil {
+		sh.tail = e
+	}
+}
+
+func (sh *memShard) unlink(e *memEntry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		sh.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		sh.tail = e.prev
+	}
+	e.prev, e.next = nil, nil
+}
+
+func (sh *memShard) moveToFront(e *memEntry) {
+	if sh.head == e {
+		return
+	}
+	sh.unlink(e)
+	sh.pushFront(e)
+}
+
+// fnv1a is the 64-bit FNV-1a hash, inlined to keep key->shard routing
+// allocation-free.
+func fnv1a(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}

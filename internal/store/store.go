@@ -1,13 +1,14 @@
 // Package store is the result-storage layer behind the serving API: a
 // common contract for keeping computed point results addressable by their
-// canonical scenario.PointKey, with interchangeable backends. The memory
-// backend adapts the sharded LRU of internal/cache; the disk backend keeps
-// one self-verifying record per key with atomic write-then-rename
-// persistence and corrupt-record quarantine, so a restarted server serves
-// byte-identical results without recomputing anything; Tiered composes
-// them (memory in front of disk) and Flight adds singleflight compute
-// de-duplication on top of any Store. internal/server depends only on the
-// Store interface, so future shared backends (a store directory on shared
+// canonical scenario.PointKey, with interchangeable backends. Memory is a
+// sharded LRU of completed results; Disk keeps one self-verifying record
+// per key with atomic write-then-rename persistence and corrupt-record
+// quarantine, so a restarted server serves byte-identical results without
+// recomputing anything; Tiered composes them (memory in front of disk).
+// Flight is the package's one singleflight: it de-duplicates concurrent
+// computes of a key on top of any Store, so the backends only ever hold
+// completed results. internal/server computes through the Store
+// interface, so future shared backends (a store directory on shared
 // storage, a remote result service) slot in without touching handlers.
 package store
 
