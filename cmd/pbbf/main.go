@@ -73,7 +73,6 @@ import (
 
 	"pbbf/internal/bench"
 	"pbbf/internal/experiments"
-	"pbbf/internal/protocol"
 	"pbbf/internal/scenario"
 	"pbbf/internal/trace"
 )
@@ -117,15 +116,12 @@ func runCtx(ctx context.Context, args []string, out, errOut io.Writer) error {
 	fs.SetOutput(out)
 	var (
 		experiment = fs.String("experiment", "", "scenario id (e.g. fig8) or \"all\"")
-		scaleName  = fs.String("scale", "quick", "scenario scale: quick, paper, bench, or large")
 		format     = fs.String("format", "table", "output format: table, csv, json, or ndjson")
-		seed       = fs.Uint64("seed", 1, "root random seed")
 		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for the point sweep")
-		protoName  = fs.String("protocol", "", "broadcast protocol for network scenarios: pbbf (default), sleepsched, or ola")
-		energyJ    = fs.Float64("energy", 0, "mean initial battery capacity in joules for network scenarios (0 = infinite battery)")
-		harvestW   = fs.Float64("harvest", 0, "constant per-node energy-harvest rate in watts (requires -energy)")
 		list       = fs.Bool("list", false, "list available scenarios with their metadata and exit")
+		knobs      scenario.Knobs
 	)
+	knobs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -137,20 +133,10 @@ func runCtx(ctx context.Context, args []string, out, errOut io.Writer) error {
 
 	// Validate every flag before doing any work, so a bad value always
 	// exits non-zero with a message instead of silently running defaults.
-	scale, err := scenario.ByName(*scaleName)
+	scale, _, err := knobs.Resolve()
 	if err != nil {
 		return err
 	}
-	scale.Seed = *seed
-	if scale.Protocol, err = resolveProtocol(*protoName); err != nil {
-		return err
-	}
-	scale.EnergyJ = *energyJ
-	scale.HarvestW = *harvestW
-	if err := scale.Validate(); err != nil {
-		return err
-	}
-
 	if err := validFormat(*format); err != nil {
 		return err
 	}
@@ -161,17 +147,10 @@ func runCtx(ctx context.Context, args []string, out, errOut io.Writer) error {
 		return fmt.Errorf("missing -experiment (try -list)")
 	}
 
-	var selected []scenario.Scenario
-	if *experiment == "all" {
-		selected = reg.All()
-	} else {
-		sc, err := reg.ByID(*experiment)
-		if err != nil {
-			return err
-		}
-		selected = []scenario.Scenario{sc}
+	selected, err := reg.Select(*experiment)
+	if err != nil {
+		return err
 	}
-
 	outputs, err := scenario.RunAll(selected, scale, *workers)
 	if err != nil {
 		return err
@@ -372,22 +351,6 @@ func writeHeapProfile(path string) error {
 		return fmt.Errorf("heap profile: %w", err)
 	}
 	return f.Close()
-}
-
-// resolveProtocol validates the -protocol flag and returns the canonical
-// Scale.Protocol value: empty for the PBBF default (so every key and
-// checkpoint identity stays on the pre-protocol spelling), the canonical
-// name otherwise. Unknown names fail with the same did-you-mean style as
-// scenario IDs.
-func resolveProtocol(name string) (string, error) {
-	if name == "" {
-		return "", nil
-	}
-	sp, err := protocol.SpecFor(name)
-	if err != nil {
-		return "", err
-	}
-	return sp.Canonical(), nil
 }
 
 // printList renders the registry with its metadata: ID, paper artifact,

@@ -35,14 +35,11 @@ import (
 func runSweep(ctx context.Context, args []string, out, errOut io.Writer) error {
 	fs := flag.NewFlagSet("pbbf sweep", flag.ContinueOnError)
 	fs.SetOutput(out)
+	var id scenario.Identity
+	fs.StringVar(&id.Experiment, "experiment", "all", "scenario id (e.g. fig8) or \"all\"")
+	id.RegisterFlags(fs)
 	var (
-		experiment    = fs.String("experiment", "all", "scenario id (e.g. fig8) or \"all\"")
-		scaleName     = fs.String("scale", "quick", "scenario scale: quick, paper, bench, or large")
 		format        = fs.String("format", "table", "output format: table, csv, json, or ndjson")
-		seed          = fs.Uint64("seed", 1, "root random seed")
-		protoName     = fs.String("protocol", "", "broadcast protocol for network scenarios: pbbf (default), sleepsched, or ola")
-		energyJ       = fs.Float64("energy", 0, "mean initial battery capacity in joules for network scenarios (0 = infinite battery)")
-		harvestW      = fs.Float64("harvest", 0, "constant per-node energy-harvest rate in watts (requires -energy)")
 		workers       = fs.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for the point sweep (local mode; -distribute uses -outstanding)")
 		checkpoint    = fs.String("checkpoint", "", "checkpoint file for resumable runs (empty = no persistence)")
 		progress      = fs.Bool("progress", true, "periodic JSON progress summaries (done/total, rate, ETA) on stderr")
@@ -68,19 +65,11 @@ func runSweep(ctx context.Context, args []string, out, errOut io.Writer) error {
 			fmt.Fprintln(errOut, "sweep: -workers has no effect with -distribute; use -outstanding to bound in-flight leased points")
 		}
 	}
-	scale, err := scenario.ByName(*scaleName)
+	scale, knobs, err := id.Resolve()
 	if err != nil {
 		return err
 	}
-	scale.Seed = *seed
-	if scale.Protocol, err = resolveProtocol(*protoName); err != nil {
-		return err
-	}
-	scale.EnergyJ = *energyJ
-	scale.HarvestW = *harvestW
-	if err := scale.Validate(); err != nil {
-		return err
-	}
+	id.Knobs = knobs // the checkpoint records the canonical identity
 	if err := validFormat(*format); err != nil {
 		return err
 	}
@@ -101,15 +90,9 @@ func runSweep(ctx context.Context, args []string, out, errOut io.Writer) error {
 	}
 
 	reg := experiments.Registry()
-	var selected []scenario.Scenario
-	if *experiment == "all" {
-		selected = reg.All()
-	} else {
-		sc, err := reg.ByID(*experiment)
-		if err != nil {
-			return err
-		}
-		selected = []scenario.Scenario{sc}
+	selected, err := reg.Select(id.Experiment)
+	if err != nil {
+		return err
 	}
 
 	// Distributed mode: stand up the coordinator endpoints and replace
@@ -168,15 +151,10 @@ func runSweep(ctx context.Context, args []string, out, errOut io.Writer) error {
 		return compute()
 	}
 
-	// Load or create the checkpoint. Identity (experiment, scale, seed,
-	// protocol, energy axis) must match: resuming a different workload from
-	// recorded results would silently mix runs.
+	// Load or create the checkpoint. The identity must match: resuming a
+	// different workload from recorded results would silently mix runs.
 	var cp *scenario.Checkpoint
 	if *checkpoint != "" {
-		id := scenario.Identity{
-			Experiment: *experiment, Scale: *scaleName, Seed: *seed,
-			Protocol: scale.Protocol, EnergyJ: scale.EnergyJ, HarvestW: scale.HarvestW,
-		}
 		cp, err = scenario.LoadCheckpoint(*checkpoint)
 		if err != nil {
 			return err

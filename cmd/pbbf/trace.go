@@ -17,13 +17,14 @@ import (
 )
 
 // traceHeader is the first NDJSON line of a trace stream: everything
-// needed to re-run the exact point that produced the events below it.
+// needed to re-run the exact point that produced the events below it,
+// including the canonical knobs (protocol and energy axis omitted at
+// their defaults).
 type traceHeader struct {
-	Type       string             `json:"type"`
-	Scenario   string             `json:"scenario"`
-	Artifact   string             `json:"artifact"`
-	Scale      string             `json:"scale"`
-	Seed       uint64             `json:"seed"`
+	Type     string `json:"type"`
+	Scenario string `json:"scenario"`
+	Artifact string `json:"artifact"`
+	scenario.Knobs
 	Point      int                `json:"point"`
 	Series     string             `json:"series"`
 	X          float64            `json:"x"`
@@ -54,14 +55,13 @@ func runTrace(args []string, out io.Writer) error {
 	var (
 		scenarioID = fs.String("scenario", "", "scenario id to trace (e.g. fig13, extcompare)")
 		pointIdx   = fs.Int("point", 0, "zero-based point index within the scenario's parameter space")
-		scaleName  = fs.String("scale", "quick", "scenario scale: quick, paper, bench, or large")
-		seed       = fs.Uint64("seed", 1, "root random seed")
-		protoName  = fs.String("protocol", "", "broadcast protocol for network scenarios: pbbf (default), sleepsched, or ola")
 		runs       = fs.Int("runs", 1, "number of runs to capture events for (0 = all runs of the point)")
 		events     = fs.String("events", "all", "comma-separated event groups to emit: packet, radio, energy, or all")
 		listPoints = fs.Bool("list-points", false, "list the scenario's point indices and exit")
 		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "accepted for CLI parity; a single point is always computed by one worker")
+		knobs      scenario.Knobs
 	)
+	knobs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -81,12 +81,8 @@ func runTrace(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	scale, err := scenario.ByName(*scaleName)
+	scale, knobs, err := knobs.Resolve()
 	if err != nil {
-		return err
-	}
-	scale.Seed = *seed
-	if scale.Protocol, err = resolveProtocol(*protoName); err != nil {
 		return err
 	}
 	sc, err := experiments.Registry().ByID(*scenarioID)
@@ -130,8 +126,7 @@ func runTrace(args []string, out io.Writer) error {
 		Type:       "header",
 		Scenario:   sc.ID,
 		Artifact:   sc.Artifact,
-		Scale:      *scaleName,
-		Seed:       *seed,
+		Knobs:      knobs,
 		Point:      *pointIdx,
 		Series:     pt.Series,
 		X:          pt.X,

@@ -24,6 +24,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"pbbf/internal/scenario"
 )
 
 // SchemaVersion identifies the report layout. Bump when fields change
@@ -148,11 +150,9 @@ func (r *Report) ErrorRate() float64 {
 	return float64(r.Errors) / float64(r.Requests)
 }
 
-// runBody is the POST /v1/run payload for one request.
-type runBody struct {
-	Experiment string `json:"experiment"`
-	Scale      string `json:"scale"`
-	Seed       uint64 `json:"seed"`
+// body is the POST /v1/run payload of the request for seed.
+func (cfg Config) body(seed uint64) scenario.Identity {
+	return scenario.Identity{Experiment: cfg.Experiment, Knobs: scenario.Knobs{Scale: cfg.Scale, Seed: seed}}
 }
 
 // outcome classifies one request.
@@ -181,7 +181,7 @@ func Run(cfg Config) (*Report, error) {
 	// fatal — a load test against a server that cannot serve the workload
 	// at all would report nonsense.
 	for seed := 1; seed <= cfg.WarmSeeds; seed++ {
-		if out, err := issue(client, target, runBody{cfg.Experiment, cfg.Scale, uint64(seed)}); err != nil || out != outcomeOK {
+		if out, err := issue(client, target, cfg.body(uint64(seed))); err != nil || out != outcomeOK {
 			return nil, fmt.Errorf("loadtest: warm request seed %d failed (outcome %d): %v", seed, out, err)
 		}
 	}
@@ -216,14 +216,12 @@ func Run(cfg Config) (*Report, error) {
 				if i >= cfg.Requests {
 					return
 				}
-				body := runBody{Experiment: cfg.Experiment, Scale: cfg.Scale}
+				seed := uint64(missSeedBase + i)
 				if isHit(i, cfg.HitFraction) {
-					body.Seed = uint64(1 + i%cfg.WarmSeeds)
-				} else {
-					body.Seed = uint64(missSeedBase + i)
+					seed = uint64(1 + i%cfg.WarmSeeds)
 				}
 				t0 := time.Now()
-				out, err := issue(client, target, body)
+				out, err := issue(client, target, cfg.body(seed))
 				if err != nil {
 					out = outcomeError
 				}
@@ -286,7 +284,7 @@ func isHit(i int, hitFraction float64) bool {
 // issue posts one run request and drains the NDJSON stream to its final
 // line. A request only counts as OK when the stream terminates with a
 // "done" line — a 200 whose stream ends in an error line is an error.
-func issue(client *http.Client, target string, body runBody) (outcome, error) {
+func issue(client *http.Client, target string, body scenario.Identity) (outcome, error) {
 	payload, err := json.Marshal(body)
 	if err != nil {
 		return outcomeError, err

@@ -16,9 +16,8 @@ import (
 const CheckpointVersion = 1
 
 // Checkpoint is the in-memory state of a resumable sweep: the run's
-// identity (experiment selector, scale name, seed — a checkpoint must
-// never resume a different workload) plus every completed point result
-// keyed by its canonical PointKey.
+// Identity (a checkpoint must never resume a different workload) plus
+// every completed point result keyed by its canonical PointKey.
 //
 // On disk a checkpoint is an append-only NDJSON journal: one header line
 // with the identity, then one line per completed point. Appending is O(1)
@@ -32,37 +31,22 @@ type Checkpoint struct {
 	Results map[string]Result
 }
 
-// Identity is the workload a resumable sweep computes: everything that
-// selects which points exist and what their results are. A checkpoint must
-// never resume a different workload. New axes extend this struct (with a
-// zero value meaning the pre-axis default) instead of growing positional
-// constructor parameters.
+// Identity is the workload a run computes: the experiment selector plus
+// the knobs that select its Scale. A checkpoint must never resume a
+// different workload, so every knob is part of it. Its JSON spelling is
+// the shared head of the /v1/run request and stream header and of the
+// checkpoint header; the omitempty knobs keep default-axis headers on the
+// bytes of the earlier formats, so old journals load and default journals
+// written today load in old builds.
 type Identity struct {
-	Experiment string
-	Scale      string
-	Seed       uint64
-	// Protocol is the canonical protocol selection the sweep ran under
-	// (empty = PBBF). A PBBF checkpoint must not resume a sleepsched
-	// sweep even when every other flag matches.
-	Protocol string
-	// EnergyJ and HarvestW are the Scale's finite-energy axis
-	// (0 = infinite battery, the only workload older journals describe).
-	EnergyJ  float64
-	HarvestW float64
+	Experiment string `json:"experiment"`
+	Knobs
 }
 
-// checkpointHeader is the journal's first line. Protocol and the energy
-// fields are omitempty so journals written for the defaults keep the exact
-// header bytes of the earlier formats — old files load, and default files
-// written today load in old builds.
+// checkpointHeader is the journal's first line.
 type checkpointHeader struct {
-	Version    int     `json:"version"`
-	Experiment string  `json:"experiment"`
-	Scale      string  `json:"scale"`
-	Seed       uint64  `json:"seed"`
-	Protocol   string  `json:"protocol,omitempty"`
-	EnergyJ    float64 `json:"energy_j,omitempty"`
-	HarvestW   float64 `json:"harvest_w,omitempty"`
+	Version int `json:"version"`
+	Identity
 }
 
 // checkpointEntry is one completed point, one journal line.
@@ -81,23 +65,15 @@ func NewCheckpointFor(id Identity) *Checkpoint {
 }
 
 // MatchesIdentity reports whether the checkpoint was recorded for the same
-// run identity, with a descriptive error when it was not.
+// run identity, with a descriptive error naming both in their JSON
+// spelling (default knobs omitted) when it was not.
 func (c *Checkpoint) MatchesIdentity(id Identity) error {
 	if c.Identity != id {
-		return fmt.Errorf("checkpoint records run (experiment=%s scale=%s seed=%d protocol=%s energy=%g harvest=%g), requested (experiment=%s scale=%s seed=%d protocol=%s energy=%g harvest=%g): delete the file or match its flags",
-			c.Experiment, c.Scale, c.Seed, protoLabel(c.Protocol), c.EnergyJ, c.HarvestW,
-			id.Experiment, id.Scale, id.Seed, protoLabel(id.Protocol), id.EnergyJ, id.HarvestW)
+		have, _ := json.Marshal(c.Identity)
+		want, _ := json.Marshal(id)
+		return fmt.Errorf("checkpoint records run %s, requested %s: delete the file or match its flags", have, want)
 	}
 	return nil
-}
-
-// protoLabel names the default protocol in error messages; an empty string
-// would read like a missing value.
-func protoLabel(p string) string {
-	if p == "" {
-		return "pbbf"
-	}
-	return p
 }
 
 // LoadCheckpoint reads a checkpoint journal. A missing file is not an
@@ -127,10 +103,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if hdr.Version != CheckpointVersion {
 		return nil, fmt.Errorf("checkpoint %s: version %d, want %d", path, hdr.Version, CheckpointVersion)
 	}
-	c := NewCheckpointFor(Identity{
-		Experiment: hdr.Experiment, Scale: hdr.Scale, Seed: hdr.Seed,
-		Protocol: hdr.Protocol, EnergyJ: hdr.EnergyJ, HarvestW: hdr.HarvestW,
-	})
+	c := NewCheckpointFor(hdr.Identity)
 	for i, line := range lines[1:] {
 		var e checkpointEntry
 		if err := json.Unmarshal(line, &e); err != nil {
@@ -155,10 +128,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 func (c *Checkpoint) WriteFile(path string) error {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(checkpointHeader{
-		Version: c.Version, Experiment: c.Experiment, Scale: c.Scale, Seed: c.Seed,
-		Protocol: c.Protocol, EnergyJ: c.EnergyJ, HarvestW: c.HarvestW,
-	}); err != nil {
+	if err := enc.Encode(checkpointHeader{c.Version, c.Identity}); err != nil {
 		return err
 	}
 	keys := make([]string, 0, len(c.Results))
@@ -223,10 +193,7 @@ func (c *Checkpoint) OpenWriter(path string) (*CheckpointWriter, error) {
 		}
 	}
 	if size == 0 {
-		hdr, err := json.Marshal(checkpointHeader{
-			Version: c.Version, Experiment: c.Experiment, Scale: c.Scale, Seed: c.Seed,
-			Protocol: c.Protocol, EnergyJ: c.EnergyJ, HarvestW: c.HarvestW,
-		})
+		hdr, err := json.Marshal(checkpointHeader{c.Version, c.Identity})
 		if err != nil {
 			f.Close()
 			return nil, err

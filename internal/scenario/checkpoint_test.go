@@ -10,7 +10,7 @@ import (
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt.json")
-	cp := NewCheckpointFor(Identity{Experiment: "all", Scale: "quick", Seed: 7})
+	cp := NewCheckpointFor(Identity{Experiment: "all", Knobs: Knobs{Scale: "quick", Seed: 7}})
 	cp.Results["k1"] = Result{Y: 1.5, EnergyJ: 2, Delivery: 1}
 	cp.Results["k2"] = Result{Skip: true}
 	if err := cp.WriteFile(path); err != nil {
@@ -51,7 +51,7 @@ func TestCheckpointRejectsCorruptAndWrongVersion(t *testing.T) {
 	}
 
 	old := filepath.Join(dir, "old.json")
-	cp := NewCheckpointFor(Identity{Experiment: "all", Scale: "quick", Seed: 1})
+	cp := NewCheckpointFor(Identity{Experiment: "all", Knobs: Knobs{Scale: "quick", Seed: 1}})
 	cp.Version = CheckpointVersion + 1
 	if err := cp.WriteFile(old); err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestCheckpointRejectsCorruptAndWrongVersion(t *testing.T) {
 
 func TestCheckpointWriterAppends(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.ckpt")
-	cp := NewCheckpointFor(Identity{Experiment: "all", Scale: "quick", Seed: 1})
+	cp := NewCheckpointFor(Identity{Experiment: "all", Knobs: Knobs{Scale: "quick", Seed: 1}})
 	w, err := cp.OpenWriter(path)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestCheckpointWriterAppends(t *testing.T) {
 // truncated trailing entry is skipped, everything before it survives.
 func TestCheckpointToleratesTornFinalLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "torn.ckpt")
-	cp := NewCheckpointFor(Identity{Experiment: "all", Scale: "quick", Seed: 1})
+	cp := NewCheckpointFor(Identity{Experiment: "all", Knobs: Knobs{Scale: "quick", Seed: 1}})
 	w, err := cp.OpenWriter(path)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestCheckpointToleratesTornFinalLine(t *testing.T) {
 
 	// Corruption before the end is real corruption, not a torn write.
 	mid := filepath.Join(t.TempDir(), "mid.ckpt")
-	cp2 := NewCheckpointFor(Identity{Experiment: "all", Scale: "quick", Seed: 1})
+	cp2 := NewCheckpointFor(Identity{Experiment: "all", Knobs: Knobs{Scale: "quick", Seed: 1}})
 	if err := cp2.WriteFile(mid); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestCheckpointToleratesTornFinalLine(t *testing.T) {
 func TestCheckpointCompaction(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sweep.ckpt")
-	cp := NewCheckpointFor(Identity{Experiment: "all", Scale: "quick", Seed: 1})
+	cp := NewCheckpointFor(Identity{Experiment: "all", Knobs: Knobs{Scale: "quick", Seed: 1}})
 	w, err := cp.OpenWriter(path)
 	if err != nil {
 		t.Fatal(err)
@@ -242,15 +242,15 @@ func TestCheckpointCompaction(t *testing.T) {
 }
 
 func TestCheckpointMatches(t *testing.T) {
-	cp := NewCheckpointFor(Identity{Experiment: "all", Scale: "quick", Seed: 1})
-	if err := cp.MatchesIdentity(Identity{Experiment: "all", Scale: "quick", Seed: 1}); err != nil {
+	cp := NewCheckpointFor(Identity{Experiment: "all", Knobs: Knobs{Scale: "quick", Seed: 1}})
+	if err := cp.MatchesIdentity(Identity{Experiment: "all", Knobs: Knobs{Scale: "quick", Seed: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []Identity{
-		{Experiment: "fig8", Scale: "quick", Seed: 1},
-		{Experiment: "all", Scale: "paper", Seed: 1},
-		{Experiment: "all", Scale: "quick", Seed: 2},
-		{Experiment: "all", Scale: "quick", Seed: 1, Protocol: "ola"},
+		{Experiment: "fig8", Knobs: Knobs{Scale: "quick", Seed: 1}},
+		{Experiment: "all", Knobs: Knobs{Scale: "paper", Seed: 1}},
+		{Experiment: "all", Knobs: Knobs{Scale: "quick", Seed: 2}},
+		{Experiment: "all", Knobs: Knobs{Scale: "quick", Seed: 1, Protocol: "ola"}},
 	} {
 		if err := cp.MatchesIdentity(id); err == nil {
 			t.Fatalf("mismatched identity %+v accepted", id)
@@ -262,7 +262,7 @@ func TestCheckpointMatches(t *testing.T) {
 // identity: a default-axis checkpoint must not resume a finite-energy
 // sweep or vice versa.
 func TestCheckpointIdentityEnergy(t *testing.T) {
-	id := Identity{Experiment: "all", Scale: "quick", Seed: 1}
+	id := Identity{Experiment: "all", Knobs: Knobs{Scale: "quick", Seed: 1}}
 	cp := NewCheckpointFor(id)
 	if err := cp.MatchesIdentity(id); err != nil {
 		t.Fatal(err)
@@ -289,7 +289,7 @@ func TestCheckpointIdentityEnergy(t *testing.T) {
 func TestCheckpointHeaderBackCompat(t *testing.T) {
 	dir := t.TempDir()
 	plain := filepath.Join(dir, "plain.ckpt")
-	cp := NewCheckpointFor(Identity{Experiment: "all", Scale: "quick", Seed: 7})
+	cp := NewCheckpointFor(Identity{Experiment: "all", Knobs: Knobs{Scale: "quick", Seed: 7}})
 	if err := cp.WriteFile(plain); err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestCheckpointHeaderBackCompat(t *testing.T) {
 	}
 
 	keyed := filepath.Join(dir, "energy.ckpt")
-	id := Identity{Experiment: "all", Scale: "quick", Seed: 7, EnergyJ: 1.5, HarvestW: 0.005}
+	id := Identity{Experiment: "all", Knobs: Knobs{Scale: "quick", Seed: 7, EnergyJ: 1.5, HarvestW: 0.005}}
 	ecp := NewCheckpointFor(id)
 	ecp.Results["k"] = Result{Y: 2}
 	if err := ecp.WriteFile(keyed); err != nil {
@@ -315,5 +315,50 @@ func TestCheckpointHeaderBackCompat(t *testing.T) {
 	}
 	if back == nil || back.Identity != id {
 		t.Fatalf("energy identity lost in round trip: %+v", back)
+	}
+}
+
+// TestCheckpointHeaderPinned pins the journal header bytes for a
+// non-default identity on both write paths (compaction and a fresh
+// append journal). The identity is assigned field by field so the pin
+// compiles against any layout of Identity.
+func TestCheckpointHeaderPinned(t *testing.T) {
+	var id Identity
+	id.Experiment = "all"
+	id.Scale = "quick"
+	id.Seed = 7
+	id.Protocol = "sleepsched"
+	id.EnergyJ = 1.5
+	id.HarvestW = 0.005
+	const want = `{"version":1,"experiment":"all","scale":"quick","seed":7,"protocol":"sleepsched","energy_j":1.5,"harvest_w":0.005}` + "\n"
+
+	dir := t.TempDir()
+	compact := filepath.Join(dir, "compact.ckpt")
+	if err := NewCheckpointFor(id).WriteFile(compact); err != nil {
+		t.Fatal(err)
+	}
+	journal := filepath.Join(dir, "journal.ckpt")
+	w, err := NewCheckpointFor(id).OpenWriter(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{compact, journal} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != want {
+			t.Fatalf("%s header changed:\ngot  %q\nwant %q", filepath.Base(path), data, want)
+		}
+		back, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back == nil || back.Identity != id {
+			t.Fatalf("%s: identity lost in round trip: %+v", filepath.Base(path), back)
+		}
 	}
 }

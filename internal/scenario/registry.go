@@ -81,6 +81,19 @@ func (r *Registry) ByID(id string) (Scenario, error) {
 	return Scenario{}, fmt.Errorf("scenario: unknown id %q (known: %s)", id, strings.Join(ids, ", "))
 }
 
+// Select resolves an experiment selector: "all" is every scenario in
+// registration order, anything else the one scenario ByID finds.
+func (r *Registry) Select(experiment string) ([]Scenario, error) {
+	if experiment == "all" {
+		return r.All(), nil
+	}
+	sc, err := r.ByID(experiment)
+	if err != nil {
+		return nil, err
+	}
+	return []Scenario{sc}, nil
+}
+
 // Suggest returns up to three registered IDs close to the given (unknown)
 // ID, nearest first: prefix matches, then small edit distances. An empty
 // slice means nothing plausible is registered. The ranking lives in

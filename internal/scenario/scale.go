@@ -1,9 +1,13 @@
 package scenario
 
 import (
+	"flag"
 	"fmt"
+	"math"
 	"strings"
 	"time"
+
+	"pbbf/internal/protocol"
 )
 
 // Scale sets the dimensions every scenario runs at. One Scale drives the
@@ -212,6 +216,61 @@ func ByName(name string) (Scale, error) {
 	return Scale{}, fmt.Errorf("scenario: unknown scale %q (want %s)", name, strings.Join(ScaleNames(), ", "))
 }
 
+// Knobs is the user-facing part of a run's identity: the scale preset and
+// the overrides every entry point accepts. The JSON tags are the on-wire
+// names of the /v1/run request, the stream, checkpoint and trace headers;
+// RegisterFlags holds the CLI spelling and Resolve the one validation and
+// canonicalization path. A new knob is one field here (plus the Scale
+// field it sets), one flag line, one Resolve line, one appendScaleKey
+// line and one Validate check.
+type Knobs struct {
+	// Scale names the preset ("quick", "paper", "bench", "large").
+	Scale string `json:"scale"`
+	// Seed is the root random seed; 0 means the preset's seed.
+	Seed uint64 `json:"seed"`
+	// Protocol selects the broadcast protocol of network scenarios; empty
+	// means PBBF. See Scale.Protocol.
+	Protocol string `json:"protocol,omitempty"`
+	// EnergyJ and HarvestW are the finite-energy axis; see Scale.
+	EnergyJ  float64 `json:"energy_j,omitempty"`
+	HarvestW float64 `json:"harvest_w,omitempty"`
+}
+
+// RegisterFlags binds the knobs to fs under their CLI names and defaults.
+func (k *Knobs) RegisterFlags(fs *flag.FlagSet) {
+	fs.StringVar(&k.Scale, "scale", "quick", "scenario scale: quick, paper, bench, or large")
+	fs.Uint64Var(&k.Seed, "seed", 1, "root random seed")
+	fs.StringVar(&k.Protocol, "protocol", "", "broadcast protocol for network scenarios: pbbf (default), sleepsched, or ola")
+	fs.Float64Var(&k.EnergyJ, "energy", 0, "mean initial battery capacity in joules for network scenarios (0 = infinite battery)")
+	fs.Float64Var(&k.HarvestW, "harvest", 0, "constant per-node energy-harvest rate in watts (requires -energy)")
+}
+
+// Resolve builds and validates the Scale the knobs select. It also
+// returns the canonical knobs: the seed the run uses and the protocol's
+// canonical spelling (empty for every PBBF spelling), so one computation
+// always carries one identity and mints one set of PointKeys. An unknown
+// protocol fails with the protocol registry's did-you-mean error.
+func (k Knobs) Resolve() (Scale, Knobs, error) {
+	s, err := ByName(k.Scale)
+	if err != nil {
+		return Scale{}, Knobs{}, err
+	}
+	if k.Seed != 0 {
+		s.Seed = k.Seed
+	}
+	sp, err := protocol.SpecFor(k.Protocol)
+	if err != nil {
+		return Scale{}, Knobs{}, err
+	}
+	s.Protocol = sp.Canonical()
+	s.EnergyJ, s.HarvestW = k.EnergyJ, k.HarvestW
+	if err := s.Validate(); err != nil {
+		return Scale{}, Knobs{}, err
+	}
+	k.Seed, k.Protocol = s.Seed, s.Protocol
+	return s, k, nil
+}
+
 // Validate checks the scale's structural invariants.
 func (s Scale) Validate() error {
 	if s.GridW <= 0 || s.GridH <= 0 {
@@ -240,11 +299,12 @@ func (s Scale) Validate() error {
 			return fmt.Errorf("scenario: duty cycle %v outside (0,1]", d)
 		}
 	}
-	if s.EnergyJ < 0 {
-		return fmt.Errorf("scenario: initial energy %v must be non-negative", s.EnergyJ)
+	// !(v >= 0) also rejects NaN, which every comparison fails.
+	if !(s.EnergyJ >= 0) || math.IsInf(s.EnergyJ, 0) {
+		return fmt.Errorf("scenario: initial energy %v must be finite and non-negative", s.EnergyJ)
 	}
-	if s.HarvestW < 0 {
-		return fmt.Errorf("scenario: harvest rate %v must be non-negative", s.HarvestW)
+	if !(s.HarvestW >= 0) || math.IsInf(s.HarvestW, 0) {
+		return fmt.Errorf("scenario: harvest rate %v must be finite and non-negative", s.HarvestW)
 	}
 	if s.HarvestW > 0 && s.EnergyJ == 0 {
 		return fmt.Errorf("scenario: harvest rate %v requires a positive initial energy", s.HarvestW)

@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -196,6 +197,43 @@ func TestRunValidatesScale(t *testing.T) {
 	s.GridW = 0
 	if _, err := Run(fake("scale"), s); err == nil {
 		t.Fatal("invalid scale accepted")
+	}
+}
+
+// TestKnobsResolve: Resolve canonicalizes what selects the same run to one
+// identity and rejects every knob value no run can have, including the
+// non-finite floats a flag parses.
+func TestKnobsResolve(t *testing.T) {
+	canon := []struct{ in, want Knobs }{
+		{Knobs{Scale: "quick"}, Knobs{Scale: "quick", Seed: 1}},
+		{Knobs{Scale: "quick", Seed: 9, Protocol: " PBBF "}, Knobs{Scale: "quick", Seed: 9}},
+		{Knobs{Scale: "bench", Protocol: "SleepSched", EnergyJ: 1.5, HarvestW: 0.005},
+			Knobs{Scale: "bench", Seed: 1, Protocol: "sleepsched", EnergyJ: 1.5, HarvestW: 0.005}},
+	}
+	for _, c := range canon {
+		s, got, err := c.in.Resolve()
+		if err != nil {
+			t.Fatalf("%+v: %v", c.in, err)
+		}
+		if got != c.want || s.Seed != got.Seed || s.Protocol != got.Protocol || s.EnergyJ != got.EnergyJ || s.HarvestW != got.HarvestW {
+			t.Errorf("%+v resolved to %+v (scale seed %d protocol %q), want %+v", c.in, got, s.Seed, s.Protocol, c.want)
+		}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, k := range []Knobs{
+		{Scale: "huge"},
+		{Scale: "quick", Protocol: "nope"},
+		{Scale: "quick", EnergyJ: -1},
+		{Scale: "quick", EnergyJ: nan},
+		{Scale: "quick", EnergyJ: inf},
+		{Scale: "quick", EnergyJ: 1, HarvestW: -1},
+		{Scale: "quick", EnergyJ: 1, HarvestW: nan},
+		{Scale: "quick", EnergyJ: 1, HarvestW: inf},
+		{Scale: "quick", HarvestW: 0.01},
+	} {
+		if _, _, err := k.Resolve(); err == nil {
+			t.Errorf("%+v accepted", k)
+		}
 	}
 }
 

@@ -522,42 +522,26 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// RunRequest is the POST /v1/run body.
+// RunRequest is the POST /v1/run body: the run's identity (experiment
+// "all" or one scenario ID, plus the scenario.Knobs that select its
+// scale; seed 0 means the preset's) and the pool size.
 type RunRequest struct {
-	// Experiment selects one scenario ID or "all".
-	Experiment string `json:"experiment"`
-	// Scale names the scale preset ("quick", "paper", "bench", "large").
-	Scale string `json:"scale"`
-	// Seed is the root random seed; 0 means the preset default.
-	Seed uint64 `json:"seed"`
+	scenario.Identity
 	// Workers sizes the sweep pool, clamped to the server's maximum;
 	// <= 0 selects the maximum.
 	Workers int `json:"workers"`
-	// Protocol selects the broadcast protocol for network scenarios;
-	// empty means PBBF. See GET /v1/protocols.
-	Protocol string `json:"protocol,omitempty"`
-	// EnergyJ gives every node of a network scenario a finite battery with
-	// this mean initial capacity in joules; 0 (the default) keeps the
-	// paper's infinite battery.
-	EnergyJ float64 `json:"energy_j,omitempty"`
-	// HarvestW recharges finite batteries at a constant per-node rate in
-	// watts (requires energy_j > 0).
-	HarvestW float64 `json:"harvest_w,omitempty"`
 }
 
 // Stream line types. Every NDJSON line carries "type" so clients can
 // dispatch without peeking at other fields.
 type runHeader struct {
-	Type       string  `json:"type"` // "run"
-	Experiment string  `json:"experiment"`
-	Scale      string  `json:"scale"`
-	Seed       uint64  `json:"seed"`
-	Protocol   string  `json:"protocol,omitempty"`
-	EnergyJ    float64 `json:"energy_j,omitempty"`
-	HarvestW   float64 `json:"harvest_w,omitempty"`
-	Workers    int     `json:"workers"`
-	Scenarios  int     `json:"scenarios"`
-	Jobs       int     `json:"jobs"`
+	Type string `json:"type"` // "run"
+	// Identity is the canonical identity the run computed: the resolved
+	// seed and protocol, not the request's spelling of them.
+	scenario.Identity
+	Workers   int `json:"workers"`
+	Scenarios int `json:"scenarios"`
+	Jobs      int `json:"jobs"`
 }
 
 type pointLine struct {
@@ -604,25 +588,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("missing experiment (scenario id or \"all\")"))
 		return
 	}
-	scale, err := scenario.ByName(req.Scale)
+	scale, knobs, err := req.Resolve()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Seed != 0 {
-		scale.Seed = req.Seed
-	}
-	if req.Protocol != "" {
-		sp, err := protocol.SpecFor(req.Protocol)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		scale.Protocol = sp.Canonical()
-	}
-	scale.EnergyJ = req.EnergyJ
-	scale.HarvestW = req.HarvestW
-	if err := scale.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -630,17 +597,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if workers <= 0 || workers > s.maxWorkers {
 		workers = s.maxWorkers
 	}
-
-	var selected []scenario.Scenario
-	if req.Experiment == "all" {
-		selected = s.reg.All()
-	} else {
-		sc, err := s.reg.ByID(req.Experiment)
-		if err != nil {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
-		selected = []scenario.Scenario{sc}
+	selected, err := s.reg.Select(req.Experiment)
+	if err != nil {
+		writeError(w, http.StatusNotFound, err)
+		return
 	}
 
 	// Count the run's jobs up front so the stream header states the total
@@ -665,10 +625,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	out := &runStream{enc: json.NewEncoder(w), rc: http.NewResponseController(w)}
 	out.write(runHeader{
-		Type: "run", Experiment: req.Experiment, Scale: req.Scale,
-		Seed: scale.Seed, Protocol: scale.Protocol,
-		EnergyJ: scale.EnergyJ, HarvestW: scale.HarvestW,
-		Workers: workers, Scenarios: len(selected), Jobs: jobs,
+		Type:     "run",
+		Identity: scenario.Identity{Experiment: req.Experiment, Knobs: knobs},
+		Workers:  workers, Scenarios: len(selected), Jobs: jobs,
 	})
 
 	// Stream results in deterministic enumeration order: OnPoint delivers

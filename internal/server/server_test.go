@@ -616,3 +616,26 @@ func TestAccessLog(t *testing.T) {
 		t.Fatalf("run record: %+v", r)
 	}
 }
+
+// TestRunHeaderPinned pins the /v1/run "run" header line for non-default
+// identities. The protocol is echoed in canonical form, so the PBBF
+// spelling renders with no protocol field at all — the same bytes as a
+// request that omits it.
+func TestRunHeaderPinned(t *testing.T) {
+	_, ts := newTestServer(t)
+	cases := []struct{ body, want string }{
+		{
+			`{"experiment":"statictbl","scale":"quick","workers":1,"protocol":"sleepsched","energy_j":1.5,"harvest_w":0.005}`,
+			`{"type":"run","experiment":"statictbl","scale":"quick","seed":1,"protocol":"sleepsched","energy_j":1.5,"harvest_w":0.005,"workers":1,"scenarios":1,"jobs":1}`,
+		},
+		{
+			`{"experiment":"statictbl","scale":"quick","seed":3,"workers":1,"protocol":"PBBF","energy_j":1.5,"harvest_w":0.005}`,
+			`{"type":"run","experiment":"statictbl","scale":"quick","seed":3,"energy_j":1.5,"harvest_w":0.005,"workers":1,"scenarios":1,"jobs":1}`,
+		},
+	}
+	for _, c := range cases {
+		if got := rawRun(t, ts.URL, c.body)[0]; got != c.want {
+			t.Errorf("%s:\ngot  %s\nwant %s", c.body, got, c.want)
+		}
+	}
+}
