@@ -43,16 +43,21 @@ const NoiseFloorNS = 2_000_000
 const AllocNoiseFloor = 512
 
 // FlagshipAllocCeiling is the absolute allocs-per-point budget for the
-// flagship Section 5 scenarios at the frozen bench scale. The pooled netsim
-// kernel runs steady-state points in a few dozen allocations (accumulator
-// maps and result assembly; the simulation itself is allocation-free), so
-// the ceiling failing means per-run state is being reallocated again.
+// flagship scenarios at the frozen bench scale. The pooled netsim and
+// idealsim engines run steady-state points in a few dozen allocations
+// (grid, accumulator maps and result assembly; the simulation itself is
+// allocation-free), so the ceiling failing means per-run state is being
+// reallocated again.
 const FlagshipAllocCeiling = 100
 
 // FlagshipScenarios lists the scenario IDs held to FlagshipAllocCeiling:
 // the ns-style simulator figures whose hot path the arena layer keeps
-// allocation-free.
-var FlagshipScenarios = []string{"fig13", "fig14", "fig15", "fig16", "fig17", "fig18"}
+// allocation-free, then the ideal-MAC figures and extensions, whose
+// points run on a sweep worker's pooled idealsim.Pool.
+var FlagshipScenarios = []string{
+	"fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
+	"fig4", "fig5", "fig8", "fig9", "fig10", "fig11", "extwakeup", "exttmac",
+}
 
 // DefaultRepeats is how many times Run measures each scenario when
 // Config.Repeats is unset; the fastest repeat is recorded. Minimum-of-N is

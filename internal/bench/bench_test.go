@@ -302,6 +302,27 @@ func TestCheckCeilings(t *testing.T) {
 	if len(viols) != 1 || viols[0].ID != FlagshipScenarios[0] || viols[0].Missing {
 		t.Fatalf("over-ceiling report: %+v", viols)
 	}
+
+	// The ideal-MAC scenarios are held to the same ceiling: one over it
+	// and one missing are both violations.
+	rep.Scenarios = nil
+	for _, id := range FlagshipScenarios {
+		if id == "exttmac" {
+			continue
+		}
+		allocs := uint64(FlagshipAllocCeiling)
+		if id == "fig8" {
+			allocs = 7520 // an unpooled ideal-MAC point
+		}
+		rep.Scenarios = append(rep.Scenarios, ScenarioResult{ID: id, Points: 1, AllocsPerPoint: allocs})
+	}
+	want := []CeilingViolation{
+		{ID: "fig8", AllocsPerPoint: 7520, Ceiling: FlagshipAllocCeiling},
+		{ID: "exttmac", Ceiling: FlagshipAllocCeiling, Missing: true},
+	}
+	if got := CheckCeilings(rep); !reflect.DeepEqual(got, want) {
+		t.Fatalf("violations = %+v, want %+v", got, want)
+	}
 }
 
 // TestCheckCeilingsMissingFlagship: silently dropping a flagship scenario

@@ -276,18 +276,13 @@ func extTMACScenario() scenario.Scenario {
 			}
 			return pts, nil
 		},
-		RunPoint: func(s Scale, pt scenario.Point) (scenario.Result, error) {
-			g, err := topo.NewGrid(s.GridW, s.GridH)
-			if err != nil {
-				return scenario.Result{}, err
-			}
+		RunPointCtx: func(ctx context.Context, s Scale, pt scenario.Point) (scenario.Result, error) {
 			extend := time.Duration(pt.Params["extend_s"] * float64(time.Second))
-			cfg := idealsim.Defaults(g, g.Center())
-			cfg.Params = core.Params{P: pt.Params["p"], Q: pt.Params["q"]}
-			cfg.Updates = s.IdealUpdates
-			cfg.ExtendOnReceive = extend
-			cfg.Seed = pointSeed(s.Seed, 107, fbits(pt.X), uint64(extend))
-			res, err := idealsim.Run(cfg)
+			res, err := runIdealPoint(ctx, s, func(cfg *idealsim.Config) {
+				cfg.Params = core.Params{P: pt.Params["p"], Q: pt.Params["q"]}
+				cfg.ExtendOnReceive = extend
+				cfg.Seed = pointSeed(s.Seed, 107, fbits(pt.X), uint64(extend))
+			})
 			if err != nil {
 				return scenario.Result{}, err
 			}

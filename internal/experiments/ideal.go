@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -75,17 +76,12 @@ func idealQSweep(id, artifact, title, summary, ylabel string, tag uint64,
 		Points: func(s Scale) ([]scenario.Point, error) {
 			return protocolQPoints(idealProtocols(s), s.QSweep), nil
 		},
-		RunPoint: func(s Scale, pt scenario.Point) (scenario.Result, error) {
-			g, err := topo.NewGrid(s.GridW, s.GridH)
-			if err != nil {
-				return scenario.Result{}, err
-			}
-			cfg := idealsim.Defaults(g, g.Center())
-			cfg.Params = core.Params{P: pt.Params["p"], Q: pt.Params["q"]}
-			cfg.Updates = s.IdealUpdates
-			cfg.TrackHopDistances = track(s)
-			cfg.Seed = pointSeed(s.Seed, tag, fbits(cfg.Params.P), fbits(pt.X))
-			res, err := idealsim.Run(cfg)
+		RunPointCtx: func(ctx context.Context, s Scale, pt scenario.Point) (scenario.Result, error) {
+			res, err := runIdealPoint(ctx, s, func(cfg *idealsim.Config) {
+				cfg.Params = core.Params{P: pt.Params["p"], Q: pt.Params["q"]}
+				cfg.TrackHopDistances = track(s)
+				cfg.Seed = pointSeed(s.Seed, tag, fbits(cfg.Params.P), fbits(pt.X))
+			})
 			if err != nil {
 				return scenario.Result{}, err
 			}
@@ -102,6 +98,22 @@ func idealQSweep(id, artifact, title, summary, ylabel string, tag uint64,
 			return out, nil
 		},
 	}
+}
+
+// runIdealPoint runs one ideal-MAC point on the worker's pooled simulator:
+// the scale's grid with the source at its center, Table 1 defaults with
+// the scale's update count, then the point's overrides from tune.
+func runIdealPoint(ctx context.Context, s Scale, tune func(*idealsim.Config)) (*idealsim.Result, error) {
+	g, err := topo.NewGrid(s.GridW, s.GridH)
+	if err != nil {
+		return nil, err
+	}
+	cfg := idealsim.Defaults(g, g.Center())
+	cfg.Updates = s.IdealUpdates
+	tune(&cfg)
+	pools, release := poolsFor(ctx)
+	defer release()
+	return pools.ideal.Run(cfg)
 }
 
 // hopStretchMetric reads the mean dissemination-tree path length at one

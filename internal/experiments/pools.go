@@ -4,17 +4,20 @@ import (
 	"context"
 	"sync"
 
+	"pbbf/internal/idealsim"
 	"pbbf/internal/netsim"
 	"pbbf/internal/sweep"
 	"pbbf/internal/topo"
 )
 
 // runPools bundles the reusable simulation state one worker needs to run
-// net points allocation-free: a netsim run pool and a topology scratch.
-// A runPools is single-threaded; ownership is what makes it safe.
+// points allocation-free: a netsim run pool, a topology scratch, and an
+// ideal-simulator pool. A runPools is single-threaded; ownership is what
+// makes it safe.
 type runPools struct {
-	net  *netsim.RunPool
-	topo *topo.Scratch
+	net   *netsim.RunPool
+	topo  *topo.Scratch
+	ideal *idealsim.Pool
 }
 
 // poolFree is the global free list of idle pool bundles. Sweep workers
@@ -39,7 +42,7 @@ func acquirePools() *runPools {
 		poolFree.list = poolFree.list[:n-1]
 		return p
 	}
-	return &runPools{net: netsim.NewRunPool(), topo: topo.NewScratch()}
+	return &runPools{net: netsim.NewRunPool(), topo: topo.NewScratch(), ideal: idealsim.NewPool()}
 }
 
 // releasePools returns a bundle to the free list.

@@ -1,12 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"pbbf/internal/core"
 	"pbbf/internal/idealsim"
 	"pbbf/internal/scenario"
-	"pbbf/internal/topo"
 )
 
 // extWakeupScenario is the first scenario born on the unified engine
@@ -55,23 +55,18 @@ func extWakeupScenario() scenario.Scenario {
 			}
 			return pts, nil
 		},
-		RunPoint: func(s Scale, pt scenario.Point) (scenario.Result, error) {
-			g, err := topo.NewGrid(s.GridW, s.GridH)
-			if err != nil {
-				return scenario.Result{}, err
-			}
+		RunPointCtx: func(ctx context.Context, s Scale, pt scenario.Point) (scenario.Result, error) {
 			duty := pt.Params["duty"]
-			active := time.Second
-			cfg := idealsim.Defaults(g, g.Center())
-			cfg.Params = core.Params{P: pt.Params["p"], Q: pt.Params["q"]}
-			cfg.Timing = core.Timing{
-				Active: active,
-				Frame:  time.Duration(float64(active) / duty),
-			}
-			cfg.Updates = s.IdealUpdates
-			cfg.Seed = pointSeed(s.Seed, 108,
-				fbits(cfg.Params.P), fbits(cfg.Params.Q), fbits(duty))
-			res, err := idealsim.Run(cfg)
+			res, err := runIdealPoint(ctx, s, func(cfg *idealsim.Config) {
+				active := time.Second
+				cfg.Params = core.Params{P: pt.Params["p"], Q: pt.Params["q"]}
+				cfg.Timing = core.Timing{
+					Active: active,
+					Frame:  time.Duration(float64(active) / duty),
+				}
+				cfg.Seed = pointSeed(s.Seed, 108,
+					fbits(cfg.Params.P), fbits(cfg.Params.Q), fbits(duty))
+			})
 			if err != nil {
 				return scenario.Result{}, err
 			}

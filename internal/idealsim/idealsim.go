@@ -26,10 +26,27 @@
 // Nodes drop duplicates, so each broadcast builds a spanning tree rooted at
 // the source, exactly the structure the paper's bond-percolation analysis
 // assumes.
+//
+// # Pooling
+//
+// A Pool runs configurations one after another on reused state: node
+// states, transmission counters, BFS buffers, the event kernel and its
+// pre-bound callbacks. A warm run allocates only its Result. Run is
+// NewPool().Run, so pooled and one-off runs share one code path and agree
+// exactly.
+//
+// Every delivery is still one kernel event, but pending deliveries wait in
+// two FIFOs rather than in the kernel's heap. A normal send is delivered
+// L1 after the ATIM window following its send time, an immediate one L1
+// after it; both are non-decreasing in the send time, and sends happen in
+// time order, so each FIFO is already sorted. Merging the two heads by
+// (delivery time, send order) gives exactly the order the kernel's heap
+// would, and the kernel holds only the next delivery.
 package idealsim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"pbbf/internal/core"
@@ -170,139 +187,258 @@ func (r *Result) MeanCoverage() float64 {
 
 // Run executes the simulation and returns its metrics.
 func Run(cfg Config) (*Result, error) {
+	return NewPool().Run(cfg)
+}
+
+// Pool owns the per-run state of the ideal simulator so that a sequence of
+// runs — a sweep worker's points — reuses it instead of reallocating it.
+// Buffers grow to the largest topology seen and are reset per run; a pool
+// keeps no reference to a finished run's topology or Result. A Pool is not
+// safe for concurrent use; give each worker its own. The zero value is
+// ready to use.
+type Pool struct {
+	cfg    Config
+	kernel sim.Kernel
+	fwdRNG rng.Source // drives p coins (order-dependent, per run)
+	// coin is the stay-awake threshold ⌈q·2^53⌉ (see coinThreshold).
+	coin  uint64
+	nodes []nodeState
+	sent  []int32 // transmissions per node across all updates (TX energy)
+	// extraAwake accrues T-MAC wake-extension time not already covered by
+	// the ATIM window or the q coin (energy accounting), and wakeUntil is
+	// the end of each node's wake extension within the current update.
+	// Both are sized only for runs with ExtendOnReceive set.
+	extraAwake, wakeUntil []time.Duration
+	// dist and queue are the BFS distances from the source and the BFS
+	// frontier, computed only for runs that track hop distances.
+	dist    []int
+	queue   []topo.NodeID
+	tracked []trackedDistance
+	// normalQ and immediateQ hold the senders whose deliveries are
+	// pending, in send order; sends counts the update's sends so far.
+	normalQ, immediateQ sendQueue
+	sends               int32
+	next                *sendQueue // the queue holding the armed delivery
+	start, fire         func()     // p.startUpdate and p.deliverNext, bound once
+	result              *Result
+	originT             time.Duration // generation time of the in-flight update
+}
+
+// sendQueue is a FIFO of senders whose deliveries were scheduled in
+// non-decreasing time order.
+type sendQueue struct {
+	ids  []int32
+	head int
+}
+
+func (q *sendQueue) reset()            { q.ids, q.head = q.ids[:0], 0 }
+func (q *sendQueue) empty() bool       { return q.head == len(q.ids) }
+func (q *sendQueue) peek() topo.NodeID { return topo.NodeID(q.ids[q.head]) }
+
+// NewPool returns an empty pool; buffers grow to fit on first use.
+func NewPool() *Pool { return &Pool{} }
+
+type nodeState struct {
+	recvAt time.Duration
+	// sendAt and sendSeq are the delivery time and the place in the
+	// update's send order of the node's one transmission this update.
+	sendAt   time.Duration
+	sendSeq  int32
+	hops     int32
+	received bool
+}
+
+// trackedDistance ties one tracked BFS distance to its Result
+// accumulators, so harvesting an update needs no map lookups.
+type trackedDistance struct {
+	d          int
+	hops, late *stats.Accumulator
+}
+
+// zeroed returns s resized to length n with every element zero, reusing
+// its capacity when possible.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// Run executes one simulation on the pool's state. The Result is freshly
+// allocated and owned by the caller.
+func (p *Pool) Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := newSimulator(cfg)
-	return s.run()
+	p.reset(cfg)
+	res, err := p.run()
+	// Drop the run's topology and Result so an idle pool retains neither.
+	p.cfg = Config{}
+	p.result = nil
+	clear(p.tracked)
+	p.tracked = p.tracked[:0]
+	return res, err
 }
 
-type nodeState struct {
-	received bool
-	hops     int
-	recvAt   time.Duration
-	// wakeUntil is the end of the node's T-MAC-style wake extension
-	// within the current update (zero when disabled).
-	wakeUntil time.Duration
-}
-
-type simulator struct {
-	cfg    Config
-	kernel *sim.Kernel
-	fwdRNG *rng.Source // drives p coins (order-dependent, per run)
-	nodes  []nodeState
-	sent   []int // transmissions per node across all updates (TX energy)
-	// extraAwake accrues T-MAC wake-extension time not already covered by
-	// the ATIM window or the q coin (energy accounting).
-	extraAwake []time.Duration
-	dist       []int // BFS distances from source
-	result     *Result
-	originT    time.Duration // generation time of the in-flight update
-}
-
-func newSimulator(cfg Config) *simulator {
-	base := rng.New(cfg.Seed)
-	s := &simulator{
-		cfg:        cfg,
-		fwdRNG:     base.Split(),
-		nodes:      make([]nodeState, cfg.Topo.N()),
-		sent:       make([]int, cfg.Topo.N()),
-		extraAwake: make([]time.Duration, cfg.Topo.N()),
-		dist:       topo.HopDistances(cfg.Topo, cfg.Source),
-		result: &Result{
-			HopsAtDistance:    make(map[int]*stats.Accumulator, len(cfg.TrackHopDistances)),
-			LatencyAtDistance: make(map[int]*stats.Accumulator, len(cfg.TrackHopDistances)),
-			NodesAtDistance:   make(map[int]int, len(cfg.TrackHopDistances)),
-		},
+// reset prepares the pool's buffers for cfg and allocates its Result.
+func (p *Pool) reset(cfg Config) {
+	n := cfg.Topo.N()
+	p.cfg = cfg
+	p.coin = coinThreshold(cfg.Params.Q)
+	var base rng.Source
+	base.Reseed(cfg.Seed)
+	base.SplitInto(&p.fwdRNG)
+	p.nodes = zeroed(p.nodes, n)
+	p.sent = zeroed(p.sent, n)
+	if cfg.ExtendOnReceive > 0 {
+		p.extraAwake = zeroed(p.extraAwake, n)
+		p.wakeUntil = zeroed(p.wakeUntil, n)
+	}
+	if p.start == nil {
+		p.start, p.fire = p.startUpdate, p.deliverNext
+	}
+	p.result = &Result{
+		Coverage:          make([]float64, 0, cfg.Updates),
+		HopsAtDistance:    make(map[int]*stats.Accumulator, len(cfg.TrackHopDistances)),
+		LatencyAtDistance: make(map[int]*stats.Accumulator, len(cfg.TrackHopDistances)),
+		NodesAtDistance:   make(map[int]int, len(cfg.TrackHopDistances)),
+	}
+	if len(cfg.TrackHopDistances) > 0 {
+		p.dist, p.queue = topo.HopDistancesInto(cfg.Topo, cfg.Source, p.dist, p.queue)
 	}
 	for _, d := range cfg.TrackHopDistances {
-		s.result.HopsAtDistance[d] = &stats.Accumulator{}
-		s.result.LatencyAtDistance[d] = &stats.Accumulator{}
+		if _, dup := p.result.HopsAtDistance[d]; dup {
+			continue
+		}
+		tr := trackedDistance{d: d, hops: &stats.Accumulator{}, late: &stats.Accumulator{}}
+		p.tracked = append(p.tracked, tr)
+		p.result.HopsAtDistance[d] = tr.hops
+		p.result.LatencyAtDistance[d] = tr.late
 		count := 0
-		for _, dd := range s.dist {
+		for _, dd := range p.dist {
 			if dd == d {
 				count++
 			}
 		}
-		s.result.NodesAtDistance[d] = count
+		p.result.NodesAtDistance[d] = count
 	}
-	return s
+}
+
+// Mix constants of the per-(node, frame) stay-awake coin.
+const (
+	nodeMix  = 0x9e3779b97f4a7c15
+	frameMix = 0xc2b2ae3d27d4eb4f
+)
+
+// coinThreshold returns ⌈q·2^53⌉ clamped to [0, 2^53]. For every 53-bit k,
+// k < coinThreshold(q) exactly when k/2^53 < q: scaling by 2^53 is exact,
+// and k is an integer. So rng.FirstBits53(mix) < coinThreshold(q) is the
+// coin rng.FirstFloat64(mix) < q as one integer compare. q ≤ 0 (and NaN)
+// gives 0, which no k is below; q ≥ 1 gives 2^53, which every k is below.
+func coinThreshold(q float64) uint64 {
+	switch {
+	case !(q > 0):
+		return 0
+	case q >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(q * (1 << 53)))
 }
 
 // stayAwakeCoin is the deterministic per-(node, frame) q coin. It is a
 // pure function of the run seed so that packet delivery and energy
 // accounting always agree, regardless of evaluation order.
-func (s *simulator) stayAwakeCoin(node topo.NodeID, frame int64) bool {
-	if s.cfg.Params.Q <= 0 {
-		return false
-	}
-	if s.cfg.Params.Q >= 1 {
-		return true
-	}
-	mix := s.cfg.Seed ^ uint64(node)*0x9e3779b97f4a7c15 ^ uint64(frame)*0xc2b2ae3d27d4eb4f
-	return rng.FirstFloat64(mix) < s.cfg.Params.Q
+func (p *Pool) stayAwakeCoin(node topo.NodeID, frame int64) bool {
+	mix := p.cfg.Seed ^ uint64(node)*nodeMix ^ uint64(frame)*frameMix
+	return rng.FirstBits53(mix) < p.coin
 }
 
-func (s *simulator) frameIndex(t time.Duration) int64 {
-	return int64(t / s.cfg.Timing.Frame)
+// awakeFrames counts the frames in [0, frames) whose stay-awake coin keeps
+// node awake: stayAwakeCoin per frame, with the frame term of the mix
+// advanced by one addition per frame instead of a multiplication. The
+// q = 0 and q = 1 thresholds decide every coin without drawing it.
+func (p *Pool) awakeFrames(node topo.NodeID, frames int64) int64 {
+	switch p.coin {
+	case 0:
+		return 0
+	case 1 << 53:
+		return frames
+	}
+	mix := p.cfg.Seed ^ uint64(node)*nodeMix
+	var awake uint64
+	var frameTerm uint64
+	for f := int64(0); f < frames; f++ {
+		// Both operands are below 2^63, so the difference wraps, setting
+		// the top bit, exactly when the coin is heads: a count with no
+		// branch to mispredict.
+		awake += (rng.FirstBits53(mix^frameTerm) - p.coin) >> 63
+		frameTerm += frameMix
+	}
+	return int64(awake)
+}
+
+func (p *Pool) frameIndex(t time.Duration) int64 {
+	return int64(t / p.cfg.Timing.Frame)
 }
 
 // inATIMWindow reports whether t falls in the awake-for-everyone window.
-func (s *simulator) inATIMWindow(t time.Duration) bool {
-	return t-time.Duration(s.frameIndex(t))*s.cfg.Timing.Frame < s.cfg.Timing.Active
+func (p *Pool) inATIMWindow(t time.Duration) bool {
+	return t-time.Duration(p.frameIndex(t))*p.cfg.Timing.Frame < p.cfg.Timing.Active
 }
 
 // awake reports whether node is listening at time t.
-func (s *simulator) awake(node topo.NodeID, t time.Duration) bool {
-	if s.inATIMWindow(t) {
+func (p *Pool) awake(node topo.NodeID, t time.Duration) bool {
+	if p.inATIMWindow(t) {
 		return true
 	}
-	if s.cfg.ExtendOnReceive > 0 {
+	if p.cfg.ExtendOnReceive > 0 {
 		// T-MAC: idle-listen for the timeout after every ATIM window, and
 		// for the timeout after the last heard channel activity.
-		frameStart := time.Duration(s.frameIndex(t)) * s.cfg.Timing.Frame
-		if t < frameStart+s.cfg.Timing.Active+s.cfg.ExtendOnReceive {
+		frameStart := time.Duration(p.frameIndex(t)) * p.cfg.Timing.Frame
+		if t < frameStart+p.cfg.Timing.Active+p.cfg.ExtendOnReceive {
 			return true
 		}
-		if t < s.nodes[node].wakeUntil {
+		if t < p.wakeUntil[node] {
 			return true
 		}
 	}
-	return s.stayAwakeCoin(node, s.frameIndex(t))
+	return p.stayAwakeCoin(node, p.frameIndex(t))
 }
 
 // extendWake charges a node's T-MAC wake extension to the energy account
 // and records the new wake horizon. Only the portion not already covered
 // by a previous extension, the ATIM window, or the node's q coin is
 // charged.
-func (s *simulator) extendWake(node topo.NodeID, from time.Duration) {
-	if s.cfg.ExtendOnReceive <= 0 {
+func (p *Pool) extendWake(node topo.NodeID, from time.Duration) {
+	if p.cfg.ExtendOnReceive <= 0 {
 		return
 	}
-	st := &s.nodes[node]
-	until := from + s.cfg.ExtendOnReceive
+	wakeUntil := &p.wakeUntil[node]
+	until := from + p.cfg.ExtendOnReceive
 	start := from
-	if st.wakeUntil > start {
-		start = st.wakeUntil // already awake through here; charge only the tail
+	if *wakeUntil > start {
+		start = *wakeUntil // already awake through here; charge only the tail
 	}
-	if until > st.wakeUntil {
-		st.wakeUntil = until
+	if until > *wakeUntil {
+		*wakeUntil = until
 	}
 	for t := start; t < until; {
-		frame := s.frameIndex(t)
-		frameStart := time.Duration(frame) * s.cfg.Timing.Frame
+		frame := p.frameIndex(t)
+		frameStart := time.Duration(frame) * p.cfg.Timing.Frame
 		// The ATIM window plus the per-frame base idle-listen timeout are
 		// charged by accountEnergy already.
-		if freeEnd := frameStart + s.cfg.Timing.Active + s.cfg.ExtendOnReceive; t < freeEnd {
+		if freeEnd := frameStart + p.cfg.Timing.Active + p.cfg.ExtendOnReceive; t < freeEnd {
 			t = freeEnd
 			continue
 		}
-		segEnd := frameStart + s.cfg.Timing.Frame
+		segEnd := frameStart + p.cfg.Timing.Frame
 		if until < segEnd {
 			segEnd = until
 		}
-		if !s.stayAwakeCoin(node, frame) {
-			s.extraAwake[node] += segEnd - t
+		if !p.stayAwakeCoin(node, frame) {
+			p.extraAwake[node] += segEnd - t
 		}
 		t = segEnd
 	}
@@ -311,140 +447,199 @@ func (s *simulator) extendWake(node topo.NodeID, from time.Duration) {
 // nextNormalDelivery returns the delivery time of a normal broadcast held
 // at time t: the packet is announced in the next usable ATIM window and
 // transmitted L1 after that window ends.
-func (s *simulator) nextNormalDelivery(t time.Duration) time.Duration {
-	frame := s.frameIndex(t)
-	windowEnd := time.Duration(frame)*s.cfg.Timing.Frame + s.cfg.Timing.Active
+func (p *Pool) nextNormalDelivery(t time.Duration) time.Duration {
+	frame := p.frameIndex(t)
+	windowEnd := time.Duration(frame)*p.cfg.Timing.Frame + p.cfg.Timing.Active
 	if t >= windowEnd {
 		// Missed this frame's window; use the next frame's.
-		windowEnd += s.cfg.Timing.Frame
+		windowEnd += p.cfg.Timing.Frame
 	}
-	return windowEnd + s.cfg.L1
+	return windowEnd + p.cfg.L1
 }
 
-func (s *simulator) run() (*Result, error) {
-	interval := time.Duration(float64(time.Second) / s.cfg.Lambda)
-	s.kernel = sim.NewKernel()
-	for u := 0; u < s.cfg.Updates; u++ {
-		s.originT = time.Duration(u) * interval
-		s.kernel.Reset()
-		for i := range s.nodes {
-			s.nodes[i] = nodeState{}
+func (p *Pool) run() (*Result, error) {
+	interval := time.Duration(float64(time.Second) / p.cfg.Lambda)
+	for u := 0; u < p.cfg.Updates; u++ {
+		p.originT = time.Duration(u) * interval
+		p.kernel.Reset()
+		clear(p.nodes)
+		if p.cfg.ExtendOnReceive > 0 {
+			clear(p.wakeUntil)
 		}
-		s.deliverToSource()
-		if err := s.kernel.RunUntilIdle(); err != nil {
+		p.normalQ.reset()
+		p.immediateQ.reset()
+		p.sends = 0
+		p.deliverToSource()
+		if err := p.kernel.RunUntilIdle(); err != nil {
 			return nil, err
 		}
-		s.harvestUpdate()
+		p.harvestUpdate()
 	}
-	s.accountEnergy(time.Duration(s.cfg.Updates) * interval)
-	return s.result, nil
+	p.accountEnergy(time.Duration(p.cfg.Updates) * interval)
+	return p.result, nil
 }
 
 // deliverToSource injects the update at the source. Updates arrive during
 // the ATIM window (the paper generates them deterministically on frame
 // boundaries), so the source announces in the same window and transmits
 // when it ends.
-func (s *simulator) deliverToSource() {
-	src := s.cfg.Source
-	s.nodes[src] = nodeState{received: true, hops: 0, recvAt: s.originT}
-	s.kernel.ScheduleAt(s.originT, func() {
-		s.transmit(src, s.nextNormalDelivery(s.kernel.Now()), true)
-	})
+func (p *Pool) deliverToSource() {
+	p.nodes[p.cfg.Source] = nodeState{received: true, recvAt: p.originT}
+	p.kernel.ScheduleAt(p.originT, p.start)
 }
 
-// transmit delivers the packet from sender at the given absolute time.
-// normal=true means an ATIM-announced broadcast every neighbor wakes for;
-// normal=false is an immediate broadcast only awake neighbors catch.
-func (s *simulator) transmit(sender topo.NodeID, at time.Duration, normal bool) {
-	s.sent[sender]++
-	s.kernel.ScheduleAt(at, func() {
-		now := s.kernel.Now()
-		// For immediate broadcasts the receiver must be listening when the
-		// carrier starts (one channel-access time before delivery); nodes
-		// that catch the carrier also renew their T-MAC wake timeout.
-		carrierStart := now - s.cfg.L1
-		if carrierStart < 0 {
-			carrierStart = 0
+// startUpdate is the source's send, fired at the update's origin time.
+func (p *Pool) startUpdate() {
+	p.transmit(p.cfg.Source, p.nextNormalDelivery(p.kernel.Now()), true)
+	p.armNext()
+}
+
+// transmit queues sender's broadcast for delivery at the given absolute
+// time. normal=true means an ATIM-announced broadcast every neighbor
+// wakes for; normal=false is an immediate broadcast only awake neighbors
+// catch.
+func (p *Pool) transmit(sender topo.NodeID, at time.Duration, normal bool) {
+	p.sent[sender]++
+	st := &p.nodes[sender]
+	st.sendAt, st.sendSeq = at, p.sends
+	p.sends++
+	q := &p.immediateQ
+	if normal {
+		q = &p.normalQ
+	}
+	q.ids = append(q.ids, int32(sender))
+}
+
+// armNext schedules the earliest pending delivery, if any, as the
+// kernel's next event. Every send happens inside a kernel callback that
+// ends with armNext, so the armed delivery stays the earliest until it
+// fires.
+func (p *Pool) armNext() {
+	n, i := &p.normalQ, &p.immediateQ
+	switch {
+	case i.empty():
+		if n.empty() {
+			return
 		}
-		for _, nb := range s.cfg.Topo.Neighbors(sender) {
-			if normal || s.awake(nb, carrierStart) {
-				s.extendWake(nb, now)
-				s.receive(nb, sender, now)
-			}
+		p.next = n
+	case n.empty():
+		p.next = i
+	default:
+		a, b := &p.nodes[n.peek()], &p.nodes[i.peek()]
+		p.next = n
+		if b.sendAt < a.sendAt || (b.sendAt == a.sendAt && b.sendSeq < a.sendSeq) {
+			p.next = i
 		}
-	})
+	}
+	p.kernel.ScheduleAt(p.nodes[p.next.peek()].sendAt, p.fire)
+}
+
+// deliverNext fires the armed delivery and arms the one after it.
+func (p *Pool) deliverNext() {
+	q := p.next
+	sender := q.peek()
+	q.head++
+	p.deliverFrom(sender, q == &p.normalQ)
+	p.armNext()
+}
+
+// deliverFrom hands sender's broadcast to its neighbors.
+func (p *Pool) deliverFrom(sender topo.NodeID, normal bool) {
+	now := p.kernel.Now()
+	// For immediate broadcasts the receiver must be listening when the
+	// carrier starts (one channel-access time before delivery); nodes
+	// that catch the carrier also renew their T-MAC wake timeout.
+	carrierStart := now - p.cfg.L1
+	if carrierStart < 0 {
+		carrierStart = 0
+	}
+	for _, nb := range p.cfg.Topo.Neighbors(sender) {
+		if normal || p.awake(nb, carrierStart) {
+			p.extendWake(nb, now)
+			p.receive(nb, sender, now)
+		}
+	}
 }
 
 // receive handles first receptions: record metrics and make the Figure 3
 // forwarding decision.
-func (s *simulator) receive(node, from topo.NodeID, now time.Duration) {
-	st := &s.nodes[node]
+func (p *Pool) receive(node, from topo.NodeID, now time.Duration) {
+	st := &p.nodes[node]
 	if st.received {
 		return // duplicate: dropped, not forwarded
 	}
 	st.received = true
-	st.hops = s.nodes[from].hops + 1
+	st.hops = p.nodes[from].hops + 1
 	st.recvAt = now
-	if s.cfg.Params.ForwardImmediately(s.fwdRNG) {
-		s.transmit(node, now+s.cfg.L1, false)
+	if p.cfg.Params.ForwardImmediately(&p.fwdRNG) {
+		p.transmit(node, now+p.cfg.L1, false)
 	} else {
-		s.transmit(node, s.nextNormalDelivery(now), true)
+		p.transmit(node, p.nextNormalDelivery(now), true)
 	}
 }
 
 // harvestUpdate folds the finished update's reception state into Result.
-func (s *simulator) harvestUpdate() {
+func (p *Pool) harvestUpdate() {
 	received := 0
-	for id := range s.nodes {
-		st := &s.nodes[id]
+	for id := range p.nodes {
+		st := &p.nodes[id]
 		if !st.received {
 			continue
 		}
 		received++
-		if topo.NodeID(id) == s.cfg.Source {
+		if topo.NodeID(id) == p.cfg.Source {
 			continue
 		}
-		latency := (st.recvAt - s.originT).Seconds()
-		s.result.PerHopLatency.Add(latency / float64(st.hops))
-		if acc, ok := s.result.HopsAtDistance[s.dist[id]]; ok {
-			acc.Add(float64(st.hops))
-			s.result.LatencyAtDistance[s.dist[id]].Add(latency)
+		latency := (st.recvAt - p.originT).Seconds()
+		p.result.PerHopLatency.Add(latency / float64(st.hops))
+		for _, tr := range p.tracked {
+			if tr.d == p.dist[id] {
+				tr.hops.Add(float64(st.hops))
+				tr.late.Add(latency)
+				break
+			}
 		}
 	}
-	s.result.Coverage = append(s.result.Coverage, float64(received)/float64(len(s.nodes)))
+	p.result.Coverage = append(p.result.Coverage, float64(received)/float64(len(p.nodes)))
 }
 
 // accountEnergy charges each node for its awake time over the horizon plus
 // the transmit surcharge, and normalizes per node per update. The duty
 // cycle term reproduces Equation 8; transmissions add (PTX−PI)·TxTime each.
-func (s *simulator) accountEnergy(horizon time.Duration) {
-	frames := int64(horizon / s.cfg.Timing.Frame)
-	if time.Duration(frames)*s.cfg.Timing.Frame < horizon {
+func (p *Pool) accountEnergy(horizon time.Duration) {
+	frames := int64(horizon / p.cfg.Timing.Frame)
+	if time.Duration(frames)*p.cfg.Timing.Frame < horizon {
 		frames++
 	}
 	var total float64
-	sleep := s.cfg.Timing.Sleep()
-	// T-MAC base idle-listen timeout, charged every frame the q coin
-	// would otherwise sleep through.
-	baseExt := s.cfg.ExtendOnReceive
-	if baseExt > sleep {
-		baseExt = sleep
-	}
-	for id := range s.nodes {
-		var awakeTime, sleepTime time.Duration
-		for f := int64(0); f < frames; f++ {
-			if s.stayAwakeCoin(topo.NodeID(id), f) {
-				awakeTime += s.cfg.Timing.Frame
-			} else {
-				awakeTime += s.cfg.Timing.Active + baseExt
-				sleepTime += sleep - baseExt
-			}
+	prof := p.cfg.Profile
+	for id := range p.nodes {
+		awakeTime, sleepTime := p.nodeTimes(topo.NodeID(id), frames)
+		var extra time.Duration
+		if p.cfg.ExtendOnReceive > 0 {
+			extra = p.extraAwake[id]
 		}
-		joules := s.cfg.Profile.IdleW*awakeTime.Seconds() +
-			s.cfg.Profile.SleepW*sleepTime.Seconds() +
-			(s.cfg.Profile.IdleW-s.cfg.Profile.SleepW)*s.extraAwake[id].Seconds() +
-			(s.cfg.Profile.TransmitW-s.cfg.Profile.IdleW)*s.cfg.TxTime.Seconds()*float64(s.sent[id])
+		joules := prof.IdleW*awakeTime.Seconds() +
+			prof.SleepW*sleepTime.Seconds() +
+			(prof.IdleW-prof.SleepW)*extra.Seconds() +
+			(prof.TransmitW-prof.IdleW)*p.cfg.TxTime.Seconds()*float64(p.sent[id])
 		total += joules
 	}
-	s.result.EnergyPerUpdateJ = total / float64(len(s.nodes)) / float64(s.cfg.Updates)
+	p.result.EnergyPerUpdateJ = total / float64(len(p.nodes)) / float64(p.cfg.Updates)
+}
+
+// nodeTimes splits node's first frames frames into awake and asleep time
+// by its stay-awake coins. A frame the coin keeps awake costs Tframe
+// awake; any other frame costs the ATIM window plus the T-MAC base
+// idle-listen timeout (charged every frame the q coin would otherwise
+// sleep through) awake, and the rest asleep. Extension time beyond the
+// base timeout is charged separately, from extraAwake.
+func (p *Pool) nodeTimes(node topo.NodeID, frames int64) (awake, asleep time.Duration) {
+	timing := p.cfg.Timing
+	sleep := timing.Sleep()
+	baseExt := min(p.cfg.ExtendOnReceive, sleep)
+	awakeFrames := p.awakeFrames(node, frames)
+	sleepFrames := time.Duration(frames - awakeFrames)
+	return time.Duration(awakeFrames)*timing.Frame + sleepFrames*(timing.Active+baseExt),
+		sleepFrames * (sleep - baseExt)
 }

@@ -57,8 +57,16 @@ func splitMix(z uint64) uint64 {
 // which is the second SplitMix64 draw from seed, so one draw suffices. It
 // is the cheap path for stateless coins hashed from (seed, ...) tuples.
 func FirstFloat64(seed uint64) float64 {
+	return float64(FirstBits53(seed)) / (1 << 53)
+}
+
+// FirstBits53 returns the 53-bit integer k behind FirstFloat64:
+// FirstFloat64(seed) is exactly k/2^53, with no rounding, since k < 2^53.
+// A coin "FirstFloat64(seed) < q" is therefore the integer compare
+// "FirstBits53(seed) < ⌈q·2^53⌉", which needs no float conversion.
+func FirstBits53(seed uint64) uint64 {
 	s1 := splitMix(seed + splitMixGamma + splitMixGamma)
-	return float64((rotl(s1*5, 7)*9)>>11) / (1 << 53)
+	return (rotl(s1*5, 7) * 9) >> 11
 }
 
 // Split derives an independent child stream. The parent advances, so

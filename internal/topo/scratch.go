@@ -194,32 +194,11 @@ func (sc *Scratch) ConnectedField(gen func(*rng.Source) (*Field, error), r *rng.
 	return nil, fmt.Errorf("topo: no connected placement after %d tries", maxTries)
 }
 
-// HopDistances is the package-level HopDistances filling the scratch's
-// buffers; identical BFS visit order. The returned slice is valid until the
-// next build or query on sc.
+// HopDistances is HopDistancesInto on the scratch's buffers. The returned
+// slice is valid until the next build or query on sc.
 func (sc *Scratch) HopDistances(t Topology, src NodeID) []int {
-	n := t.N()
-	sc.dist = grown(sc.dist, n)
-	dist := sc.dist
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	if cap(sc.queue) < n {
-		sc.queue = make([]NodeID, 0, n)
-	}
-	queue := append(sc.queue[:0], src)
-	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
-		for _, nb := range t.Neighbors(cur) {
-			if dist[nb] < 0 {
-				dist[nb] = dist[cur] + 1
-				queue = append(queue, nb)
-			}
-		}
-	}
-	sc.queue = queue
-	return dist
+	sc.dist, sc.queue = HopDistancesInto(t, src, sc.dist, sc.queue)
+	return sc.dist
 }
 
 // Connected is the package-level Connected using the scratch's BFS buffers.

@@ -47,29 +47,32 @@ type Grid struct {
 var _ Topology = (*Grid)(nil)
 
 // NewGrid constructs a W×H grid. Spacing between lattice points is 1 meter;
-// positions exist only so grids satisfy Topology.
+// positions exist only so grids satisfy Topology. All neighbor lists share
+// one backing array, each clipped to its own length so an append to one
+// list reallocates instead of overwriting the next.
 func NewGrid(w, h int) (*Grid, error) {
 	if w <= 0 || h <= 0 {
 		return nil, fmt.Errorf("topo: grid dimensions must be positive, got %dx%d", w, h)
 	}
 	g := &Grid{w: w, h: h, neighbors: make([][]NodeID, w*h)}
+	backing := make([]NodeID, 0, 2*((w-1)*h+w*(h-1)))
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			id := y*w + x
-			nbrs := make([]NodeID, 0, 4)
+			start := len(backing)
 			if x > 0 {
-				nbrs = append(nbrs, NodeID(id-1))
+				backing = append(backing, NodeID(id-1))
 			}
 			if x < w-1 {
-				nbrs = append(nbrs, NodeID(id+1))
+				backing = append(backing, NodeID(id+1))
 			}
 			if y > 0 {
-				nbrs = append(nbrs, NodeID(id-w))
+				backing = append(backing, NodeID(id-w))
 			}
 			if y < h-1 {
-				nbrs = append(nbrs, NodeID(id+w))
+				backing = append(backing, NodeID(id+w))
 			}
-			g.neighbors[id] = nbrs
+			g.neighbors[id] = backing[start:len(backing):len(backing)]
 		}
 	}
 	return g, nil
@@ -222,16 +225,27 @@ func (d *RandomDisk) AverageDegree() float64 {
 // HopDistances returns BFS hop counts from src to every node; unreachable
 // nodes get -1.
 func HopDistances(t Topology, src NodeID) []int {
-	dist := make([]int, t.N())
+	dist, _ := HopDistancesInto(t, src, nil, nil)
+	return dist
+}
+
+// HopDistancesInto is HopDistances writing the distances into dist and
+// running the BFS frontier in queue, reallocating either only when its
+// capacity is short of t.N(). It returns both buffers for the next call;
+// the visit order, and so every distance, is HopDistances'.
+func HopDistancesInto(t Topology, src NodeID, dist []int, queue []NodeID) ([]int, []NodeID) {
+	n := t.N()
+	dist = grown(dist, n)
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := make([]NodeID, 0, t.N())
-	queue = append(queue, src)
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	if cap(queue) < n {
+		queue = make([]NodeID, 0, n)
+	}
+	queue = append(queue[:0], src)
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
 		for _, nb := range t.Neighbors(cur) {
 			if dist[nb] < 0 {
 				dist[nb] = dist[cur] + 1
@@ -239,7 +253,7 @@ func HopDistances(t Topology, src NodeID) []int {
 			}
 		}
 	}
-	return dist
+	return dist, queue
 }
 
 // Connected reports whether every node is reachable from node 0.

@@ -2,9 +2,11 @@ package topo
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"pbbf/internal/raceflag"
 	"pbbf/internal/rng"
 )
 
@@ -98,6 +100,55 @@ func TestGridEdgeCount(t *testing.T) {
 	want := 10*6 + 7*9
 	if got := EdgeCount(g); got != want {
 		t.Fatalf("edges = %d, want %d", got, want)
+	}
+}
+
+// TestGridFlatNeighborLists pins the 3×2 grid's adjacency (order
+// included) and checks that the lists, which share one backing array,
+// cannot overwrite each other through append.
+func TestGridFlatNeighborLists(t *testing.T) {
+	g := MustGrid(3, 2)
+	want := [][]NodeID{
+		{1, 3}, {0, 2, 4}, {1, 5},
+		{4, 0}, {3, 5, 1}, {4, 2},
+	}
+	for id, w := range want {
+		got := g.Neighbors(NodeID(id))
+		if !slices.Equal(got, w) {
+			t.Fatalf("Neighbors(%d) = %v, want %v", id, got, w)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("Neighbors(%d) has cap %d > len %d", id, cap(got), len(got))
+		}
+	}
+	_ = append(g.Neighbors(0), 99)
+	if got := g.Neighbors(1); !slices.Equal(got, want[1]) {
+		t.Fatalf("append to node 0's list overwrote node 1's: %v", got)
+	}
+	if raceflag.Enabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(10, func() { MustGrid(30, 30) }); allocs > 3 {
+		t.Fatalf("NewGrid(30, 30) allocates %.0f times, want <= 3", allocs)
+	}
+}
+
+// TestHopDistancesIntoReusesBuffers: a warm call allocates nothing, and a
+// smaller topology after a larger one sees only its own nodes.
+func TestHopDistancesIntoReusesBuffers(t *testing.T) {
+	big, small := MustGrid(6, 6), MustGrid(3, 2)
+	dist, queue := HopDistancesInto(big, 0, nil, nil)
+	dist, queue = HopDistancesInto(small, small.At(2, 1), dist, queue)
+	if want := []int{3, 2, 1, 2, 1, 0}; !slices.Equal(dist, want) {
+		t.Fatalf("dist = %v, want %v", dist, want)
+	}
+	if raceflag.Enabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		dist, queue = HopDistancesInto(big, big.Center(), dist, queue)
+	}); allocs != 0 {
+		t.Fatalf("warm HopDistancesInto allocates %.0f times, want 0", allocs)
 	}
 }
 
