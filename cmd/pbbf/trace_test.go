@@ -29,7 +29,8 @@ type traceLine struct {
 }
 
 // TestTraceGoldens pins one traced extcompare point per broadcast protocol
-// (PBBF, sleepsched, OLA) to its committed golden, byte for byte, and then
+// (PBBF, sleepsched, OLA), plus extadaptive's adaptive series at 30% loss,
+// to its committed golden, byte for byte, and then
 // model-checks the stream: every decoded reception must pair with a
 // transmission by its peer that started strictly earlier and whose tx_end
 // lands at exactly the reception's timestamp, while the receiver's radio
@@ -41,24 +42,28 @@ type traceLine struct {
 //
 //	go run ./cmd/pbbf trace -scenario extcompare -point <1|4|8> -runs 1 \
 //	    -events packet,radio > cmd/pbbf/testdata/trace_extcompare_<proto>.ndjson
+//	go run ./cmd/pbbf trace -scenario extadaptive -point 7 -runs 1 \
+//	    -events packet,radio > cmd/pbbf/testdata/trace_extadaptive.ndjson
 func TestTraceGoldens(t *testing.T) {
 	cases := []struct {
-		proto  string
-		point  string
-		golden string
+		name     string
+		scenario string
+		point    string
+		golden   string
 	}{
-		{"pbbf", "1", "testdata/trace_extcompare_pbbf.ndjson"},
-		{"sleepsched", "4", "testdata/trace_extcompare_sleepsched.ndjson"},
-		{"ola", "8", "testdata/trace_extcompare_ola.ndjson"},
+		{"pbbf", "extcompare", "1", "testdata/trace_extcompare_pbbf.ndjson"},
+		{"sleepsched", "extcompare", "4", "testdata/trace_extcompare_sleepsched.ndjson"},
+		{"ola", "extcompare", "8", "testdata/trace_extcompare_ola.ndjson"},
+		{"extadaptive", "extadaptive", "7", "testdata/trace_extadaptive.ndjson"},
 	}
 	for _, tc := range cases {
-		t.Run(tc.proto, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			want, err := os.ReadFile(tc.golden)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			args := []string{"trace", "-scenario", "extcompare", "-point", tc.point,
+			args := []string{"trace", "-scenario", tc.scenario, "-point", tc.point,
 				"-runs", "1", "-events", "packet,radio"}
 			if err := run(args, &buf); err != nil {
 				t.Fatal(err)

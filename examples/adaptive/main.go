@@ -14,6 +14,7 @@ import (
 	"pbbf/internal/core"
 	"pbbf/internal/mac"
 	"pbbf/internal/netsim"
+	"pbbf/internal/protocol"
 	"pbbf/internal/rng"
 	"pbbf/internal/topo"
 )
@@ -34,8 +35,7 @@ func run() error {
 	}
 
 	start := core.Params{P: 0.25, Q: 0.25}
-	adaptiveCfg := core.DefaultAdaptiveConfig()
-	adaptiveCfg.Initial = start
+	adaptiveCfg := protocol.DefaultAdaptiveConfig()
 
 	fmt.Println("channel loss   static received   adaptive received")
 	for _, loss := range []float64{0, 0.1, 0.2, 0.3} {
@@ -56,9 +56,11 @@ func run() error {
 	return nil
 }
 
-func runOnce(field topo.Topology, params core.Params, adaptive *core.AdaptiveConfig, loss float64) (float64, error) {
+// runOnce simulates one run starting every node at params; a non-nil
+// adaptive config lets each node tune its own p and q from there.
+func runOnce(field topo.Topology, params core.Params, adaptive *protocol.AdaptiveConfig, loss float64) (float64, error) {
 	macCfg := mac.DefaultConfig(params)
-	macCfg.Adaptive = adaptive
+	macCfg.Protocol = protocol.Spec{Adaptive: adaptive}
 	res, err := netsim.Run(netsim.Config{
 		Topo:     field,
 		Source:   0,

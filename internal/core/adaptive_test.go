@@ -1,135 +1,45 @@
-package core
+package core_test
 
 import (
 	"testing"
+
+	"pbbf/internal/protocol"
 )
 
+// Adaptive PBBF's controller lives in internal/protocol; these tests pin
+// the checks its configuration must pass before any node starts it.
+
+// badAdaptiveConfigs each push one knob out of range.
+var badAdaptiveConfigs = []func(*protocol.AdaptiveConfig){
+	func(c *protocol.AdaptiveConfig) { c.Step = 0 },
+	func(c *protocol.AdaptiveConfig) { c.Step = -1 },
+	func(c *protocol.AdaptiveConfig) { c.Step = 1.5 },
+	func(c *protocol.AdaptiveConfig) { c.Alpha = 0 },
+	func(c *protocol.AdaptiveConfig) { c.ActivityTarget = -1 },
+	func(c *protocol.AdaptiveConfig) { c.LossTarget = 1 },
+}
+
 func TestAdaptiveConfigValidate(t *testing.T) {
-	if err := DefaultAdaptiveConfig().Validate(); err != nil {
+	if err := protocol.DefaultAdaptiveConfig().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []func(*AdaptiveConfig){
-		func(c *AdaptiveConfig) { c.Initial.P = 2 },
-		func(c *AdaptiveConfig) { c.Step = 0 },
-		func(c *AdaptiveConfig) { c.Step = 1.5 },
-		func(c *AdaptiveConfig) { c.Alpha = 0 },
-		func(c *AdaptiveConfig) { c.ActivityTarget = -1 },
-		func(c *AdaptiveConfig) { c.LossTarget = 1 },
-	}
-	for i, mutate := range bad {
-		cfg := DefaultAdaptiveConfig()
+	for i, mutate := range badAdaptiveConfigs {
+		cfg := protocol.DefaultAdaptiveConfig()
 		mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
-			t.Fatalf("bad config %d accepted", i)
+			t.Errorf("bad config %d accepted", i)
 		}
 	}
 }
 
+// TestNewAdaptiveControllerRejectsBadConfig: a bad config fails the spec
+// check that every node runs before it builds its adaptive instance.
 func TestNewAdaptiveControllerRejectsBadConfig(t *testing.T) {
-	cfg := DefaultAdaptiveConfig()
-	cfg.Step = -1
-	if _, err := NewAdaptiveController(cfg); err == nil {
-		t.Fatal("bad config accepted")
-	}
-}
-
-func TestAdaptiveRaisesPUnderActivity(t *testing.T) {
-	c, err := NewAdaptiveController(DefaultAdaptiveConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := c.Params().P
-	for i := 0; i < 50; i++ {
-		c.ObserveActivity(10) // far above target
-	}
-	if c.Params().P <= start {
-		t.Fatalf("p did not rise: %v -> %v", start, c.Params().P)
-	}
-	if c.Params().P > 1 {
-		t.Fatalf("p exceeded 1: %v", c.Params().P)
-	}
-}
-
-func TestAdaptiveLowersPWhenQuiet(t *testing.T) {
-	c, err := NewAdaptiveController(DefaultAdaptiveConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := c.Params().P
-	for i := 0; i < 50; i++ {
-		c.ObserveActivity(0)
-	}
-	if c.Params().P >= start {
-		t.Fatalf("p did not fall: %v -> %v", start, c.Params().P)
-	}
-	if c.Params().P < 0 {
-		t.Fatalf("p below 0: %v", c.Params().P)
-	}
-}
-
-func TestAdaptiveRaisesQUnderLoss(t *testing.T) {
-	c, err := NewAdaptiveController(DefaultAdaptiveConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := c.Params().Q
-	for i := 0; i < 50; i++ {
-		c.ObserveDelivery(false)
-	}
-	if c.Params().Q <= start {
-		t.Fatalf("q did not rise under loss: %v -> %v", start, c.Params().Q)
-	}
-	if c.Params().Q > 1 {
-		t.Fatalf("q exceeded 1: %v", c.Params().Q)
-	}
-}
-
-func TestAdaptiveLowersQWhenClean(t *testing.T) {
-	c, err := NewAdaptiveController(DefaultAdaptiveConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		c.ObserveDelivery(true)
-	}
-	if c.Params().Q >= DefaultAdaptiveConfig().Initial.Q {
-		t.Fatalf("q did not decay on clean delivery: %v", c.Params().Q)
-	}
-	if c.Params().Q < 0 {
-		t.Fatalf("q below 0: %v", c.Params().Q)
-	}
-}
-
-func TestAdaptiveConverged(t *testing.T) {
-	c, err := NewAdaptiveController(DefaultAdaptiveConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Converged() {
-		t.Fatal("converged before any observation")
-	}
-	for i := 0; i < 5; i++ {
-		c.ObserveDelivery(true)
-	}
-	if !c.Converged() {
-		t.Fatal("not converged after 1/alpha observations")
-	}
-}
-
-func TestAdaptiveParamsAlwaysValid(t *testing.T) {
-	c, err := NewAdaptiveController(DefaultAdaptiveConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
-		c.ObserveActivity(i % 7)
-		c.ObserveDelivery(i%3 == 0)
-		if err := c.Params().Validate(); err != nil {
-			t.Fatalf("params became invalid at step %d: %v", i, err)
+	for i, mutate := range badAdaptiveConfigs {
+		cfg := protocol.DefaultAdaptiveConfig()
+		mutate(&cfg)
+		if err := (protocol.Spec{Adaptive: &cfg}).Validate(); err == nil {
+			t.Errorf("spec with bad config %d accepted", i)
 		}
-	}
-	activity, loss := c.Observations()
-	if activity < 0 || loss < 0 || loss > 1 {
-		t.Fatalf("observations out of range: activity=%v loss=%v", activity, loss)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"pbbf/internal/idealsim"
 	"pbbf/internal/netsim"
 	"pbbf/internal/percolation"
+	"pbbf/internal/protocol"
 	"pbbf/internal/rng"
 	"pbbf/internal/scenario"
 	"pbbf/internal/topo"
@@ -138,7 +139,8 @@ func extKScenario() scenario.Scenario {
 // recovering reliability that static settings lose. All variants share the
 // seeding tag (and, for static vs adaptive, the PBBF parameters), so they
 // are evaluated on identical scenarios — a paired comparison rather than
-// independent draws.
+// independent draws. The adaptive series pins adaptive PBBF; the static and
+// PSM series honour the scale-wide protocol.
 func extAdaptiveScenario() scenario.Scenario {
 	return scenario.Scenario{
 		ID:       "extadaptive",
@@ -183,9 +185,8 @@ func extAdaptiveScenario() scenario.Scenario {
 			opts := netOpts{loss: netsim.LossOptions{Rate: pt.Params["loss"]}}
 			params := core.Params{P: pt.Params["p"], Q: pt.Params["q"]}
 			if pt.Params["adaptive"] == 1 {
-				cfg := core.DefaultAdaptiveConfig()
-				cfg.Initial = params
-				opts.adaptive = &cfg
+				cfg := protocol.DefaultAdaptiveConfig()
+				opts.protocol = protocol.Spec{Name: protocol.NamePBBF, Adaptive: &cfg}
 			}
 			point, err := runNetPoint(ctx, s, params, 10, 103, opts)
 			if err != nil {

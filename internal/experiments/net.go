@@ -56,13 +56,12 @@ type netPoint struct {
 // netOpts are extension hooks for runNetPoint; the zero value reproduces
 // the paper's Table 2 settings.
 type netOpts struct {
-	k        int // updates per packet; 0 means 1
-	adaptive *core.AdaptiveConfig
+	k int // updates per packet; 0 means 1
 
 	// protocol pins the broadcast protocol for this scenario regardless of
 	// the scale-wide selection (the extcompare family sweeps it per
-	// series). Zero means: honor Scale.Protocol, except for adaptive runs,
-	// which tune the PBBF coins and therefore always run PBBF.
+	// series, extadaptive pins adaptive PBBF). Zero means: honor
+	// Scale.Protocol.
 	protocol protocol.Spec
 
 	// Scenario-diversity knobs (see diversity.go). field replaces the
@@ -94,11 +93,9 @@ func runNetPoint(ctx context.Context, s Scale, params core.Params, delta float64
 		opts.k = 1
 	}
 	// Resolve the protocol: a scenario pin wins, then the scale-wide
-	// selection — except under adaptive control, which exists to tune the
-	// PBBF coins and would reject any rival, so `-protocol X -experiment
-	// all` still runs the adaptive family (as PBBF) instead of failing.
+	// selection.
 	proto := opts.protocol
-	if proto.Name == "" && opts.adaptive == nil && s.Protocol != "" {
+	if proto.Name == "" && s.Protocol != "" {
 		var err error
 		if proto, err = protocol.SpecFor(s.Protocol); err != nil {
 			return nil, err
@@ -141,7 +138,6 @@ func runNetPoint(ctx context.Context, s Scale, params core.Params, delta float64
 			return nil, fmt.Errorf("experiments: net point Δ=%v: %w", delta, err)
 		}
 		macCfg := mac.DefaultConfig(params)
-		macCfg.Adaptive = opts.adaptive
 		macCfg.Protocol = proto
 		// The paper chooses one random node as source per scenario.
 		source := topo.NodeID(r.Intn(field.N()))

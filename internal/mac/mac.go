@@ -1,6 +1,8 @@
 // Package mac implements the fine-grained MAC layer of the Section 5
-// simulations: IEEE 802.11 power-save mode (PSM) with ATIM windows,
-// CSMA/CA channel access, and PBBF integrated exactly as in Figure 3.
+// simulations: IEEE 802.11 power-save mode (PSM) with ATIM windows and
+// CSMA/CA channel access. It is the substrate only: every forwarding and
+// sleeping decision dispatches through a protocol.Protocol (Config.Protocol),
+// and the default, PBBF, makes them exactly as in Figure 3.
 //
 // # Protocol model
 //
@@ -12,7 +14,7 @@
 // the whole beacon interval to receive the announced data, which is
 // transmitted after the window ends (Figure 1 of the paper).
 //
-// PBBF modifies two decisions (Figure 3):
+// PBBF (internal/protocol) modifies two decisions (Figure 3):
 //
 //   - Sleep-Decision-Handler: at the end of the ATIM window a node with no
 //     traffic stays awake anyway with probability q.
@@ -72,12 +74,6 @@ type Config struct {
 	// fail-stop death on depletion. The zero value is the paper's
 	// infinite battery.
 	Energy EnergyOptions
-	// Adaptive, when non-nil, replaces the static Params with a per-node
-	// controller that adjusts p from overheard activity and q from
-	// detected broadcast losses — the paper's future-work extension
-	// (Section 6). Params still seeds validation and labels. Requires the
-	// default PBBF protocol.
-	Adaptive *core.AdaptiveConfig
 	// Protocol selects the broadcast protocol the node's decisions
 	// dispatch through (internal/protocol). The zero value is PBBF — the
 	// paper's protocol, byte-identical to the pre-interface MAC.
@@ -133,19 +129,7 @@ func (c Config) Validate() error {
 	if err := c.Energy.Validate(); err != nil {
 		return err
 	}
-	if err := c.Protocol.Validate(); err != nil {
-		return err
-	}
-	if c.Adaptive != nil {
-		if !c.Protocol.IsPBBF() {
-			return fmt.Errorf("mac: adaptive control tunes the PBBF coins and requires the pbbf protocol, got %q",
-				c.Protocol.Name)
-		}
-		if err := c.Adaptive.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.Protocol.Validate()
 }
 
 // airtime converts a frame size to on-air time at the configured bit rate.
@@ -255,22 +239,11 @@ type Node struct {
 	timerPool []*timerRec
 
 	// proto makes the node's broadcast decisions; usesATIM caches whether
-	// it runs the PSM/ATIM substrate. Non-default protocol instances carry
-	// per-node state, so they are cached per node (protoCache) and
-	// reconfigured in place across pooled runs; PBBF is a shared stateless
-	// singleton and never touches the cache.
-	proto      protocol.Protocol
-	usesATIM   bool
-	protoCache map[string]protocol.Protocol
-
-	// Adaptive-mode state (nil/zero when running static PBBF). The
-	// controller and maps are cached across pooled re-initializations so an
-	// adaptive fleet reruns without reallocating them.
-	adaptive      *core.AdaptiveController
-	adaptiveCache *core.AdaptiveController
-	frameRx       int              // frames decoded in the current beacon interval
-	lastSeq       map[int]uint64   // per-origin highest data sequence seen
-	seqSeen       map[int]struct{} // origins with at least one sequence recorded
+	// it runs the PSM/ATIM substrate. Stateful protocol instances are kept
+	// in protos and reconfigured in place across pooled runs.
+	proto    protocol.Protocol
+	usesATIM bool
+	protos   protocol.Instances
 
 	stats Stats
 }
@@ -297,8 +270,8 @@ func NewNode(id topo.NodeID, cfg Config, kernel *sim.Kernel, channel *phy.Channe
 // init (re)initializes the node in place for a new run — NewNode's body,
 // reusing every retained allocation: the duplicate filter's bitsets, the
 // pending/announced/tx queues' capacity, the pre-bound CSMA closures, the
-// release-record pool, and the adaptive controller with its maps. The
-// caller's bank slot must already be sized and reset.
+// release-record pool, and the protocol instances. The caller's bank slot
+// must already be sized and reset.
 func (n *Node) init(id topo.NodeID, cfg Config, kernel *sim.Kernel, channel *phy.Channel,
 	bank *energy.Bank, slot int, r *rng.Source, deliver DeliveryFunc) error {
 	if err := cfg.Validate(); err != nil {
@@ -339,56 +312,22 @@ func (n *Node) init(id topo.NodeID, cfg Config, kernel *sim.Kernel, channel *phy
 		n.sendATIMFn = n.sendATIM
 	}
 	n.onAir = wire{}
-	if cfg.Adaptive != nil {
-		if n.adaptiveCache == nil {
-			n.adaptiveCache = &core.AdaptiveController{}
-			n.lastSeq = make(map[int]uint64)
-			n.seqSeen = make(map[int]struct{})
-		}
-		if err := n.adaptiveCache.Reset(*cfg.Adaptive); err != nil {
-			return err
-		}
-		n.adaptive = n.adaptiveCache
-		clear(n.lastSeq)
-		clear(n.seqSeen)
-	} else {
-		n.adaptive = nil
-	}
-	n.frameRx = 0
 	n.stats = Stats{}
-	if cfg.Protocol.IsPBBF() {
-		n.proto = protocol.PBBF
-	} else {
-		name := cfg.Protocol.Canonical()
-		if n.protoCache == nil {
-			n.protoCache = make(map[string]protocol.Protocol, 1)
-		}
-		p := n.protoCache[name]
-		if p == nil {
-			var err error
-			if p, err = protocol.New(cfg.Protocol); err != nil {
-				return err
-			}
-			n.protoCache[name] = p
-		}
-		n.proto = p
+	p, err := n.protos.Get(cfg.Protocol)
+	if err != nil {
+		return err
 	}
-	n.usesATIM = n.proto.UsesATIM()
-	if err := n.proto.Reset(n, cfg.Protocol); err != nil {
+	n.proto = p
+	n.usesATIM = p.UsesATIM()
+	if err := p.Reset(n, cfg.Protocol); err != nil {
 		return err
 	}
 	channel.Register(id, n)
 	return nil
 }
 
-// Params returns the node's current PBBF operating point: the static
-// configuration, or the adaptive controller's live values.
-func (n *Node) Params() core.Params {
-	if n.adaptive != nil {
-		return n.adaptive.Params()
-	}
-	return n.cfg.Params
-}
+// Params returns the node's configured PBBF operating point.
+func (n *Node) Params() core.Params { return n.cfg.Params }
 
 // ID returns the node's identifier.
 func (n *Node) ID() topo.NodeID { return n.id }
@@ -545,6 +484,10 @@ func (n *Node) Rand() *rng.Source { return n.rng }
 // Timing returns the PSM schedule.
 func (n *Node) Timing() core.Timing { return n.cfg.Timing }
 
+// FramesDecoded returns the ATIM and data frames decoded since the run
+// began.
+func (n *Node) FramesDecoded() int { return n.stats.ATIMReceived + n.stats.DataReceived }
+
 // SendNow queues a protocol-immediate data frame, waking the radio if
 // needed (PBBF's p-coin path).
 func (n *Node) SendNow(pkt Packet) {
@@ -566,8 +509,7 @@ func (n *Node) Announce(pkt Packet) {
 	n.pendingNormal = append(n.pendingNormal, pkt)
 }
 
-// DeliverToApp hands a decoded packet to the application (and the
-// adaptive loss observer, when enabled).
+// DeliverToApp hands a decoded packet to the application.
 func (n *Node) DeliverToApp(pkt Packet, from topo.NodeID) {
 	if n.trace != nil {
 		n.trace.Record(trace.Event{
@@ -577,7 +519,6 @@ func (n *Node) DeliverToApp(pkt Packet, from topo.NodeID) {
 			Value: float64(pkt.Hops),
 		})
 	}
-	n.observeSequence(pkt.Key)
 	n.deliver(pkt, from, n.kernel.Now())
 }
 
@@ -658,11 +599,6 @@ func (n *Node) StartFrame() {
 		n.setState(energy.Idle, now)
 		n.mustStay = false
 		n.atimOK = false
-		if n.adaptive != nil {
-			// Feed last interval's overheard traffic into the p controller.
-			n.adaptive.ObserveActivity(n.frameRx)
-			n.frameRx = 0
-		}
 		if len(n.pendingNormal) > 0 {
 			n.announced = append(n.announced, n.pendingNormal...)
 			n.pendingNormal = n.pendingNormal[:0]
@@ -779,7 +715,6 @@ func (n *Node) Deliver(f phy.Frame) {
 	switch w.kind {
 	case frameATIM:
 		n.stats.ATIMReceived++
-		n.frameRx++
 		if n.trace != nil {
 			n.trace.Record(trace.Event{
 				T: n.kernel.Now(), Kind: trace.KindRxATIM,
@@ -790,7 +725,6 @@ func (n *Node) Deliver(f phy.Frame) {
 		n.mustStay = true
 	case frameData:
 		n.stats.DataReceived++
-		n.frameRx++
 		first := n.seen.MarkSeen(w.pkt.Key)
 		if !first {
 			n.stats.Duplicates++
@@ -813,29 +747,6 @@ func (n *Node) Deliver(f phy.Frame) {
 		// immediately on a duplicate, exactly as the pre-interface MAC did.
 		n.proto.OnReceive(n, pkt, f.Sender, first)
 	}
-}
-
-// observeSequence feeds the adaptive q controller: a gap in an origin's
-// sequence numbers means broadcasts were missed (Section 6: "a node
-// detecting a large fraction of broadcast packets are not being
-// received").
-func (n *Node) observeSequence(key core.PacketKey) {
-	if n.adaptive == nil {
-		return
-	}
-	if _, ok := n.seqSeen[key.Origin]; ok {
-		last := n.lastSeq[key.Origin]
-		if key.Seq > last {
-			for missed := last + 1; missed < key.Seq; missed++ {
-				n.adaptive.ObserveDelivery(false)
-			}
-			n.lastSeq[key.Origin] = key.Seq
-		}
-	} else {
-		n.seqSeen[key.Origin] = struct{}{}
-		n.lastSeq[key.Origin] = key.Seq
-	}
-	n.adaptive.ObserveDelivery(true)
 }
 
 // enqueueTx appends a frame to the node's transmit queue and starts the

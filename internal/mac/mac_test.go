@@ -110,8 +110,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Protocol = protocol.Spec{Name: protocol.NameSleepSched, WakePeriod: -1} },
 		// Adaptive control tunes the PBBF coins; rival protocols have none.
 		func(c *Config) {
-			c.Adaptive = &core.AdaptiveConfig{}
-			c.Protocol = protocol.Spec{Name: protocol.NameOLA}
+			c.Protocol = protocol.Spec{Name: protocol.NameOLA, Adaptive: &protocol.AdaptiveConfig{}}
 		},
 		// Bad battery budgets.
 		func(c *Config) { c.Energy = EnergyOptions{InitialJ: -1} },

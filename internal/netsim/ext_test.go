@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pbbf/internal/core"
+	"pbbf/internal/protocol"
 )
 
 func TestLossRateValidation(t *testing.T) {
@@ -62,9 +63,8 @@ func TestKBatchingImprovesLossyReliability(t *testing.T) {
 
 func TestAdaptiveMACIntegration(t *testing.T) {
 	cfg := scenario(t, core.Params{P: 0.25, Q: 0.25}, 25, 10, 13)
-	ac := core.DefaultAdaptiveConfig()
-	ac.Initial = cfg.MAC.Params
-	cfg.MAC.Adaptive = &ac
+	ac := protocol.DefaultAdaptiveConfig()
+	cfg.MAC.Protocol = protocol.Spec{Adaptive: &ac}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -80,9 +80,8 @@ func TestAdaptiveMACIntegration(t *testing.T) {
 func TestAdaptiveMACDeterministic(t *testing.T) {
 	run := func() float64 {
 		cfg := scenario(t, core.Params{P: 0.25, Q: 0.25}, 25, 10, 14)
-		ac := core.DefaultAdaptiveConfig()
-		ac.Initial = cfg.MAC.Params
-		cfg.MAC.Adaptive = &ac
+		ac := protocol.DefaultAdaptiveConfig()
+		cfg.MAC.Protocol = protocol.Spec{Adaptive: &ac}
 		cfg.Loss.Rate = 0.2
 		res, err := Run(cfg)
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"pbbf/internal/core"
 	"pbbf/internal/mac"
+	"pbbf/internal/protocol"
 	"pbbf/internal/raceflag"
 	"pbbf/internal/rng"
 	"pbbf/internal/topo"
@@ -40,14 +41,14 @@ func poolTestConfigs(t *testing.T) []Config {
 		}
 		return cfg
 	}
-	adaptive := core.DefaultAdaptiveConfig()
+	adaptive := protocol.DefaultAdaptiveConfig()
 	return []Config{
 		mk(30, 1, nil),
 		mk(24, 2, func(c *Config) { c.Loss.Rate = 0.2 }),
 		mk(24, 3, func(c *Config) { c.Loss.LinkMean = 0.2 }),
 		mk(24, 4, func(c *Config) { c.Churn.FailFraction = 0.25 }),
 		mk(24, 5, func(c *Config) { c.Hetero = mac.HeteroConfig{QSpread: 0.2} }),
-		mk(20, 6, func(c *Config) { c.MAC.Adaptive = &adaptive }),
+		mk(20, 6, func(c *Config) { c.MAC.Protocol = protocol.Spec{Adaptive: &adaptive} }),
 		mk(24, 7, func(c *Config) {
 			// Batteries sized to deplete part of the fleet mid-run, so the
 			// equivalence matrix covers the energy RNG split, depletion

@@ -11,7 +11,9 @@
 //   - pbbf (the reference, and the default): the paper's Probability-Based
 //     Broadcast Forwarding over 802.11 PSM. Byte-identical to the
 //     pre-interface implementation — the p and q coins are drawn by the
-//     hooks in exactly the order the monolithic MAC drew them.
+//     hooks in exactly the order the monolithic MAC drew them. Its
+//     adaptive variant (Spec.Adaptive, the paper's Section 6 future work)
+//     tunes each node's p and q from what the node overhears.
 //   - sleepsched: a King-style sleep-scheduled broadcast ("Sleeping on the
 //     Job"): nodes wake on a fixed round-robin schedule and forwarders
 //     repeat each packet across consecutive intervals, trading latency for
@@ -61,10 +63,14 @@ type NodeAPI interface {
 	Rand() *rng.Source
 	// Timing returns the PSM schedule (beacon interval and ATIM window).
 	Timing() core.Timing
-	// Params returns the node's live PBBF operating point — the static
-	// configuration or the adaptive controller's current values. Rival
-	// protocols may ignore it.
+	// Params returns the node's configured PBBF operating point
+	// (per-node sampled when heterogeneity is on). Rival protocols may
+	// ignore it.
 	Params() core.Params
+	// FramesDecoded returns how many frames — ATIMs and data, duplicates
+	// included — the node has decoded since the run began: its overheard
+	// channel activity.
+	FramesDecoded() int
 	// SendNow queues the packet for immediate CSMA transmission, waking
 	// the radio if needed and counting the send as protocol-immediate
 	// (the PBBF p-coin path; stats.ImmediateSent).
@@ -76,8 +82,7 @@ type NodeAPI interface {
 	// only; it is never drained when UsesATIM is false).
 	Announce(pkt Packet)
 	// DeliverToApp hands a decoded packet to the application exactly once
-	// per packet, feeding the delivery/latency metrics (and, under the
-	// adaptive extension, the loss observer).
+	// per packet, feeding the delivery/latency metrics.
 	DeliverToApp(pkt Packet, from topo.NodeID)
 	// SetAwake turns the radio on or off, metering the energy transition.
 	// A no-op when the state already matches or the node is dead.

@@ -64,30 +64,39 @@ func TestSpecForSuggestsOnTypo(t *testing.T) {
 	}
 }
 
+// TestNewSharesPBBFOnly: every node's Instances hands out the one shared
+// stateless PBBF, but a stateful protocol instance of its own.
 func TestNewSharesPBBFOnly(t *testing.T) {
-	a, err := New(Spec{})
+	var n1, n2 Instances
+	a, err := n1.Get(Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(Spec{Name: NamePBBF})
+	b, err := n2.Get(Spec{Name: NamePBBF})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b || a != PBBF {
 		t.Fatal("PBBF must be the shared stateless instance")
 	}
-	s1, err := New(Spec{Name: NameSleepSched})
-	if err != nil {
-		t.Fatal(err)
+	cfg := DefaultAdaptiveConfig()
+	for _, sp := range []Spec{{Name: NameSleepSched}, {Name: NameOLA}, {Adaptive: &cfg}} {
+		s1, err := n1.Get(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, err := n2.Get(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s1 == s2 || s1 == PBBF {
+			t.Fatalf("%+v: stateful protocols must be one instance per node", sp)
+		}
+		if again, _ := n1.Get(sp); again != s1 {
+			t.Fatalf("%+v: a node must reuse its instance across runs", sp)
+		}
 	}
-	s2, err := New(Spec{Name: NameSleepSched})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1 == s2 {
-		t.Fatal("stateful rivals must be fresh per New call")
-	}
-	if _, err := New(Spec{Name: "bogus"}); err == nil {
+	if _, err := n1.Get(Spec{Name: "bogus"}); err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
 }

@@ -26,6 +26,12 @@ type Spec struct {
 	// "ola".
 	Name string
 
+	// Adaptive, when non-nil, selects adaptive PBBF: each node starts at
+	// its configured Params and adjusts p from overheard activity and q
+	// from detected broadcast losses — the paper's future-work extension
+	// (Section 6). PBBF only.
+	Adaptive *AdaptiveConfig
+
 	// WakePeriod is the sleepsched round-robin period W: node i is
 	// scheduled awake in beacon interval F iff (F+i) mod W == 0. 0 means
 	// the default (4).
@@ -60,15 +66,48 @@ func CanonicalName(name string) string {
 // Canonical returns the spec's canonical name ("" for PBBF).
 func (sp Spec) Canonical() string { return CanonicalName(sp.Name) }
 
-// IsPBBF reports whether the spec selects the default PBBF protocol.
-func (sp Spec) IsPBBF() bool { return sp.Canonical() == "" }
+// kind enumerates the protocol implementations a Spec can select; it
+// indexes a node's Instances.
+type kind int
+
+const (
+	kindPBBF kind = iota
+	kindAdaptive
+	kindSleepSched
+	kindOLA
+	numKinds
+)
+
+// kind resolves the spec to its implementation.
+func (sp Spec) kind() (kind, error) {
+	switch sp.Canonical() {
+	case "":
+		if sp.Adaptive != nil {
+			return kindAdaptive, nil
+		}
+		return kindPBBF, nil
+	case NameSleepSched:
+		return kindSleepSched, nil
+	case NameOLA:
+		return kindOLA, nil
+	}
+	return 0, UnknownError(sp.Name)
+}
 
 // Validate checks the spec: a known name and in-range knobs.
 func (sp Spec) Validate() error {
-	switch sp.Canonical() {
-	case "", NameSleepSched, NameOLA:
-	default:
-		return UnknownError(sp.Name)
+	k, err := sp.kind()
+	if err != nil {
+		return err
+	}
+	if sp.Adaptive != nil {
+		if k != kindAdaptive {
+			return fmt.Errorf("protocol: adaptive control tunes the PBBF coins and requires the pbbf protocol, got %q",
+				sp.Name)
+		}
+		if err := sp.Adaptive.Validate(); err != nil {
+			return err
+		}
 	}
 	if sp.WakePeriod < 0 || sp.Repeats < 0 {
 		return fmt.Errorf("protocol: sleepsched wake period %d / repeats %d must be non-negative",
@@ -81,22 +120,32 @@ func (sp Spec) Validate() error {
 	return nil
 }
 
-// New returns a protocol instance for one node. PBBF is stateless and
-// shared (allocation-free); the rivals get a fresh per-node state machine.
-// The caller must Reset the instance before use.
-func New(sp Spec) (Protocol, error) {
-	if err := sp.Validate(); err != nil {
+// Instances holds one node's protocol instances, at most one per
+// implementation, so a pooled node reconfigured across runs reuses each
+// stateful state machine instead of reallocating it. PBBF is stateless
+// and shared by every node. The zero value is empty and ready.
+type Instances [numKinds]Protocol
+
+// Get returns the node's instance for a validated spec, creating it on
+// first use. The caller must Reset it before use.
+func (in *Instances) Get(sp Spec) (Protocol, error) {
+	k, err := sp.kind()
+	if err != nil {
 		return nil, err
 	}
-	switch sp.Canonical() {
-	case "":
-		return PBBF, nil
-	case NameSleepSched:
-		return &sleepSched{}, nil
-	case NameOLA:
-		return &ola{}, nil
+	if in[k] == nil {
+		switch k {
+		case kindPBBF:
+			in[k] = PBBF
+		case kindAdaptive:
+			in[k] = &adaptive{}
+		case kindSleepSched:
+			in[k] = &sleepSched{}
+		case kindOLA:
+			in[k] = &ola{}
+		}
 	}
-	return nil, UnknownError(sp.Name)
+	return in[k], nil
 }
 
 // SpecFor resolves a user-supplied protocol name (a -protocol flag, an

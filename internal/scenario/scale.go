@@ -52,8 +52,8 @@ type Scale struct {
 	// (see internal/protocol). Empty means PBBF, the paper's protocol; the
 	// canonical spelling "pbbf" is folded to empty before a Scale is keyed,
 	// so every pre-protocol cache key, checkpoint, and golden file remains
-	// valid. Scenarios that pin their own protocol (the adaptive-control
-	// family, the cross-protocol comparison) ignore it.
+	// valid. Scenario series that pin their own protocol (extadaptive's
+	// adaptive series, the cross-protocol comparison) ignore it.
 	Protocol string `json:",omitempty"`
 	// EnergyJ, when positive, gives every node of a network scenario a
 	// finite battery with this mean initial capacity in joules; 0 keeps
