@@ -1,6 +1,6 @@
 // Package pbbf's root benchmark harness: one testing.B benchmark per table
-// and figure of the paper, each regenerating the artifact's data at
-// QuickScale (reduced dimensions, same shapes), plus ablation benchmarks
+// and figure of the paper, each regenerating the artifact's data at a
+// trimmed quick scale (reduced dimensions, same shapes), plus ablation benchmarks
 // for the repository's design choices. Run with:
 //
 //	go test -bench=. -benchmem
@@ -19,14 +19,13 @@ import (
 	"pbbf/internal/netsim"
 	"pbbf/internal/rng"
 	"pbbf/internal/scenario"
-	"pbbf/internal/stats"
 	"pbbf/internal/topo"
 )
 
-// benchScale trims QuickScale further so each bench iteration is one
+// benchScale trims the quick scale further so each bench iteration is one
 // comparable unit of work.
-func benchScale() experiments.Scale {
-	s := experiments.QuickScale()
+func benchScale() scenario.Scale {
+	s := scenario.Quick()
 	s.NetRuns = 1
 	s.NetDuration = 200 * time.Second
 	s.IdealUpdates = 2
@@ -34,13 +33,19 @@ func benchScale() experiments.Scale {
 	return s
 }
 
-func benchExperiment(b *testing.B, run func(experiments.Scale) (*stats.Table, error)) {
+// benchExperiment regenerates the registered scenario id once per
+// iteration through the engine.
+func benchExperiment(b *testing.B, id string) {
 	b.Helper()
+	sc, err := experiments.Registry().ByID(id)
+	if err != nil {
+		b.Fatal(err)
+	}
 	s := benchScale()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Seed = uint64(i + 1)
-		tbl, err := run(s)
+		tbl, err := scenario.Run(sc, s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -50,28 +55,28 @@ func benchExperiment(b *testing.B, run func(experiments.Scale) (*stats.Table, er
 	}
 }
 
-func BenchmarkTable1Params(b *testing.B)         { benchExperiment(b, experiments.Table1) }
-func BenchmarkTable2Params(b *testing.B)         { benchExperiment(b, experiments.Table2) }
-func BenchmarkFig4Threshold90(b *testing.B)      { benchExperiment(b, experiments.Fig4) }
-func BenchmarkFig5Threshold99(b *testing.B)      { benchExperiment(b, experiments.Fig5) }
-func BenchmarkFig6CriticalBond(b *testing.B)     { benchExperiment(b, experiments.Fig6) }
-func BenchmarkFig7PQFrontier(b *testing.B)       { benchExperiment(b, experiments.Fig7) }
-func BenchmarkFig8Energy(b *testing.B)           { benchExperiment(b, experiments.Fig8) }
-func BenchmarkFig9HopStretchNear(b *testing.B)   { benchExperiment(b, experiments.Fig9) }
-func BenchmarkFig10HopStretchFar(b *testing.B)   { benchExperiment(b, experiments.Fig10) }
-func BenchmarkFig11PerHopLatency(b *testing.B)   { benchExperiment(b, experiments.Fig11) }
-func BenchmarkFig12Tradeoff(b *testing.B)        { benchExperiment(b, experiments.Fig12) }
-func BenchmarkFig13EnergyNS(b *testing.B)        { benchExperiment(b, experiments.Fig13) }
-func BenchmarkFig14Latency2Hop(b *testing.B)     { benchExperiment(b, experiments.Fig14) }
-func BenchmarkFig15Latency5Hop(b *testing.B)     { benchExperiment(b, experiments.Fig15) }
-func BenchmarkFig16UpdatesReceived(b *testing.B) { benchExperiment(b, experiments.Fig16) }
-func BenchmarkFig17LatencyDensity(b *testing.B)  { benchExperiment(b, experiments.Fig17) }
-func BenchmarkFig18ReceivedDensity(b *testing.B) { benchExperiment(b, experiments.Fig18) }
-func BenchmarkExtGossip(b *testing.B)            { benchExperiment(b, experiments.ExtGossip) }
-func BenchmarkExtKBatching(b *testing.B)         { benchExperiment(b, experiments.ExtK) }
-func BenchmarkExtAdaptive(b *testing.B)          { benchExperiment(b, experiments.ExtAdaptive) }
-func BenchmarkExtLossInjection(b *testing.B)     { benchExperiment(b, experiments.ExtLoss) }
-func BenchmarkExtWakeupDutyCycle(b *testing.B)   { benchExperiment(b, experiments.ExtWakeup) }
+func BenchmarkTable1Params(b *testing.B)         { benchExperiment(b, "table1") }
+func BenchmarkTable2Params(b *testing.B)         { benchExperiment(b, "table2") }
+func BenchmarkFig4Threshold90(b *testing.B)      { benchExperiment(b, "fig4") }
+func BenchmarkFig5Threshold99(b *testing.B)      { benchExperiment(b, "fig5") }
+func BenchmarkFig6CriticalBond(b *testing.B)     { benchExperiment(b, "fig6") }
+func BenchmarkFig7PQFrontier(b *testing.B)       { benchExperiment(b, "fig7") }
+func BenchmarkFig8Energy(b *testing.B)           { benchExperiment(b, "fig8") }
+func BenchmarkFig9HopStretchNear(b *testing.B)   { benchExperiment(b, "fig9") }
+func BenchmarkFig10HopStretchFar(b *testing.B)   { benchExperiment(b, "fig10") }
+func BenchmarkFig11PerHopLatency(b *testing.B)   { benchExperiment(b, "fig11") }
+func BenchmarkFig12Tradeoff(b *testing.B)        { benchExperiment(b, "fig12") }
+func BenchmarkFig13EnergyNS(b *testing.B)        { benchExperiment(b, "fig13") }
+func BenchmarkFig14Latency2Hop(b *testing.B)     { benchExperiment(b, "fig14") }
+func BenchmarkFig15Latency5Hop(b *testing.B)     { benchExperiment(b, "fig15") }
+func BenchmarkFig16UpdatesReceived(b *testing.B) { benchExperiment(b, "fig16") }
+func BenchmarkFig17LatencyDensity(b *testing.B)  { benchExperiment(b, "fig17") }
+func BenchmarkFig18ReceivedDensity(b *testing.B) { benchExperiment(b, "fig18") }
+func BenchmarkExtGossip(b *testing.B)            { benchExperiment(b, "extgossip") }
+func BenchmarkExtKBatching(b *testing.B)         { benchExperiment(b, "extk") }
+func BenchmarkExtAdaptive(b *testing.B)          { benchExperiment(b, "extadaptive") }
+func BenchmarkExtLossInjection(b *testing.B)     { benchExperiment(b, "extloss") }
+func BenchmarkExtWakeupDutyCycle(b *testing.B)   { benchExperiment(b, "extwakeup") }
 
 // BenchmarkRegistryAllFlattened runs the entire scenario registry through
 // the flattened parallel sweep — the `pbbf -experiment all` hot path.

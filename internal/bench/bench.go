@@ -174,7 +174,6 @@ func Run(scenarios []scenario.Scenario, cfg Config) (*Report, error) {
 	if cfg.TraceProvider != nil {
 		ctx = trace.WithProvider(ctx, cfg.TraceProvider)
 	}
-	var ms0, ms1 runtime.MemStats
 	total := time.Now()
 	for _, sc := range scenarios {
 		// Measure Repeats times and keep the fastest: the work is
@@ -184,40 +183,29 @@ func Run(scenarios []scenario.Scenario, cfg Config) (*Report, error) {
 		var res ScenarioResult
 		var minAllocs uint64
 		for try := 0; try < cfg.Repeats; try++ {
-			runtime.GC() // attribute floating garbage to this measurement
-			runtime.ReadMemStats(&ms0)
-			fired0 := sim.TotalFired()
-			start := time.Now()
-			outs, err := scenario.RunAllCtx(ctx, []scenario.Scenario{sc}, cfg.Scale,
-				scenario.RunOptions{Workers: cfg.Workers})
-			wall := time.Since(start)
+			m, err := measure(ctx, sc, cfg, try == 0)
 			if err != nil {
 				return nil, fmt.Errorf("bench: %s: %w", sc.ID, err)
-			}
-			runtime.ReadMemStats(&ms1)
-			points := len(outs[0].Points)
-			if points == 0 {
-				points = 1 // TableFn scenarios: one unit of work
 			}
 			// The allocation minimum is tracked across all repeats, not
 			// taken from the fastest one: the repeat with the fewest
 			// allocations is the one least polluted by runtime background
 			// work, and it need not be the fastest.
-			if allocs := ms1.Mallocs - ms0.Mallocs; try == 0 || allocs < minAllocs {
-				minAllocs = allocs
+			if try == 0 || m.allocs < minAllocs {
+				minAllocs = m.allocs
 			}
-			if try > 0 && wall.Nanoseconds() >= res.WallNS {
+			if try > 0 && m.wallNS >= res.WallNS {
 				continue
 			}
 			res = ScenarioResult{
 				ID:          sc.ID,
 				Artifact:    sc.Artifact,
-				Points:      points,
-				WallNS:      wall.Nanoseconds(),
-				NSPerPoint:  wall.Nanoseconds() / int64(points),
-				Allocs:      ms1.Mallocs - ms0.Mallocs,
-				AllocBytes:  ms1.TotalAlloc - ms0.TotalAlloc,
-				EventsFired: sim.TotalFired() - fired0,
+				Points:      m.points,
+				WallNS:      m.wallNS,
+				NSPerPoint:  m.wallNS / int64(m.points),
+				Allocs:      m.allocs,
+				AllocBytes:  m.allocBytes,
+				EventsFired: m.fired,
 			}
 		}
 		res.AllocsPerPoint = minAllocs / uint64(res.Points)
@@ -305,20 +293,20 @@ func RunOverhead(scenarios []scenario.Scenario, cfg Config) (*OverheadReport, er
 	for _, sc := range scenarios {
 		var res OverheadResult
 		for try := 0; try < cfg.Repeats; try++ {
-			pWall, points, err := measureOnce(plain, sc, cfg)
+			p, err := measure(plain, sc, cfg, try == 0)
 			if err != nil {
 				return nil, fmt.Errorf("bench: %s: %w", sc.ID, err)
 			}
-			tWall, _, err := measureOnce(traced, sc, cfg)
+			t, err := measure(traced, sc, cfg, try == 0)
 			if err != nil {
 				return nil, fmt.Errorf("bench: %s (traced): %w", sc.ID, err)
 			}
 			if try == 0 {
-				res = OverheadResult{ID: sc.ID, Points: points,
-					UntracedNSPerPoint: pWall, TracedNSPerPoint: tWall}
+				res = OverheadResult{ID: sc.ID, Points: p.points,
+					UntracedNSPerPoint: p.wallNS, TracedNSPerPoint: t.wallNS}
 			} else {
-				res.UntracedNSPerPoint = min(res.UntracedNSPerPoint, pWall)
-				res.TracedNSPerPoint = min(res.TracedNSPerPoint, tWall)
+				res.UntracedNSPerPoint = min(res.UntracedNSPerPoint, p.wallNS)
+				res.TracedNSPerPoint = min(res.TracedNSPerPoint, t.wallNS)
 			}
 		}
 		// The fields hold total wall until here; the noise floor is a
@@ -338,22 +326,49 @@ func RunOverhead(scenarios []scenario.Scenario, cfg Config) (*OverheadReport, er
 	return rep, nil
 }
 
-// measureOnce runs one scenario once under ctx and returns its total wall
-// time in nanoseconds and point count (1 for table scenarios).
-func measureOnce(ctx context.Context, sc scenario.Scenario, cfg Config) (int64, int, error) {
-	runtime.GC() // attribute floating garbage consistently across arms
+// measurement is one measured run of one scenario.
+type measurement struct {
+	wallNS     int64
+	points     int // 1 for table scenarios
+	allocs     uint64
+	allocBytes uint64
+	fired      uint64
+}
+
+// measure runs one scenario once under ctx and measures it. With warm set
+// it first runs the scenario once unmeasured, so one-time costs — a sweep
+// worker's first simulation pools, protocol state built on first use — fall
+// in no measured repeat. Every measured repeat then follows a run of the
+// same scenario: a single repeat reports the steady state the minimum of
+// several does, whichever scenario ran before.
+func measure(ctx context.Context, sc scenario.Scenario, cfg Config, warm bool) (measurement, error) {
+	run := func() ([]scenario.Output, error) {
+		return scenario.RunAllCtx(ctx, []scenario.Scenario{sc}, cfg.Scale,
+			scenario.RunOptions{Workers: cfg.Workers})
+	}
+	if warm {
+		if _, err := run(); err != nil {
+			return measurement{}, err
+		}
+	}
+	var ms0, ms1 runtime.MemStats
+	runtime.GC() // attribute floating garbage to this measurement
+	runtime.ReadMemStats(&ms0)
+	fired0 := sim.TotalFired()
 	start := time.Now()
-	outs, err := scenario.RunAllCtx(ctx, []scenario.Scenario{sc}, cfg.Scale,
-		scenario.RunOptions{Workers: cfg.Workers})
+	outs, err := run()
 	wall := time.Since(start)
 	if err != nil {
-		return 0, 0, err
+		return measurement{}, err
 	}
-	points := len(outs[0].Points)
-	if points == 0 {
-		points = 1 // TableFn scenarios: one unit of work
-	}
-	return wall.Nanoseconds(), points, nil
+	runtime.ReadMemStats(&ms1)
+	return measurement{
+		wallNS:     wall.Nanoseconds(),
+		points:     max(len(outs[0].Points), 1), // TableFn scenarios: one unit of work
+		allocs:     ms1.Mallocs - ms0.Mallocs,
+		allocBytes: ms1.TotalAlloc - ms0.TotalAlloc,
+		fired:      sim.TotalFired() - fired0,
+	}, nil
 }
 
 // cpuModel returns the processor model string on Linux (best effort; empty

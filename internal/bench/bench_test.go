@@ -166,6 +166,46 @@ func TestRunKeepsFastestRepeat(t *testing.T) {
 	}
 }
 
+// warmUpSink keeps warmUpScenario's one-time allocations reachable.
+var warmUpSink []*int
+
+// warmUpScenario is a two-point scenario whose first point pays a one-time
+// cost of coldAllocs heap allocations, the way a sweep worker's first
+// simulation point builds its pools; every later point allocates nothing.
+func warmUpScenario(coldAllocs int) scenario.Scenario {
+	sc := toyScenarios()[0]
+	cold := true
+	sc.RunPoint = func(_ scenario.Scale, pt scenario.Point) (scenario.Result, error) {
+		if cold {
+			cold = false
+			warmUpSink = make([]*int, coldAllocs)
+			for i := range warmUpSink {
+				warmUpSink[i] = new(int)
+			}
+		}
+		return scenario.Result{Y: pt.X}, nil
+	}
+	return sc
+}
+
+// TestRunExcludesWarmUpAllocs: a single repeat must report the steady
+// state, not the one-time warm-up, or -repeats 1 trips the allocation
+// ceiling on a scenario that sits under it at the default repeats.
+func TestRunExcludesWarmUpAllocs(t *testing.T) {
+	const coldAllocs = 20000
+	for _, repeats := range []int{1, DefaultRepeats} {
+		cfg := testConfig()
+		cfg.Repeats = repeats
+		rep, err := Run([]scenario.Scenario{warmUpScenario(coldAllocs)}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.Scenarios[0].AllocsPerPoint; got >= coldAllocs/4 {
+			t.Fatalf("repeats=%d: %d allocs/point includes the one-time warm-up", repeats, got)
+		}
+	}
+}
+
 func TestRunRejectsNegativeRepeats(t *testing.T) {
 	cfg := testConfig()
 	cfg.Repeats = -1

@@ -8,12 +8,22 @@ import (
 	"time"
 
 	"pbbf/internal/scenario"
+	"pbbf/internal/stats"
 )
 
-// tinyScale is even smaller than QuickScale so the whole registry can be
-// exercised in one test run.
+// runByID regenerates one registered scenario through the engine.
+func runByID(id string, s Scale) (*stats.Table, error) {
+	sc, err := Registry().ByID(id)
+	if err != nil {
+		return nil, err
+	}
+	return scenario.Run(sc, s)
+}
+
+// tinyScale is even smaller than the quick scale so the whole registry can
+// be exercised in one test run.
 func tinyScale() Scale {
-	s := QuickScale()
+	s := scenario.Quick()
 	s.GridW, s.GridH = 15, 15
 	s.IdealUpdates = 2
 	s.PercTrials = 10
@@ -31,22 +41,22 @@ func tinyScale() Scale {
 }
 
 func TestScaleValidate(t *testing.T) {
-	for _, s := range []Scale{PaperScale(), QuickScale(), tinyScale()} {
+	for _, s := range []Scale{scenario.Paper(), scenario.Quick(), tinyScale()} {
 		if err := s.Validate(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	bad := QuickScale()
+	bad := scenario.Quick()
 	bad.GridW = 0
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero grid accepted")
 	}
-	bad2 := QuickScale()
+	bad2 := scenario.Quick()
 	bad2.QSweep = nil
 	if err := bad2.Validate(); err == nil {
 		t.Fatal("empty sweep accepted")
 	}
-	bad3 := QuickScale()
+	bad3 := scenario.Quick()
 	bad3.HopFar = bad3.HopNear
 	if err := bad3.Validate(); err == nil {
 		t.Fatal("HopFar == HopNear accepted")
@@ -83,30 +93,30 @@ func TestPointSeedDistinct(t *testing.T) {
 }
 
 func TestByID(t *testing.T) {
-	e, err := ByID("fig4")
+	sc, err := Registry().ByID("fig4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.ID != "fig4" {
-		t.Fatalf("ID = %q", e.ID)
+	if sc.ID != "fig4" {
+		t.Fatalf("ID = %q", sc.ID)
 	}
-	if _, err := ByID("  FIG6 "); err != nil {
-		t.Fatalf("case/space-insensitive lookup failed: %v", err)
+	if sc, err := Registry().ByID("  FIG6 "); err != nil || sc.ID != "fig6" {
+		t.Fatalf("case/space-insensitive lookup failed: %q, %v", sc.ID, err)
 	}
-	if _, err := ByID("fig99"); err == nil {
+	if _, err := Registry().ByID("fig99"); err == nil {
 		t.Fatal("unknown id accepted")
 	}
 }
 
 func TestAllIDsUnique(t *testing.T) {
 	seen := map[string]bool{}
-	for _, e := range All() {
-		if seen[e.ID] {
-			t.Fatalf("duplicate id %q", e.ID)
+	for _, sc := range Registry().All() {
+		if seen[sc.ID] {
+			t.Fatalf("duplicate id %q", sc.ID)
 		}
-		seen[e.ID] = true
-		if e.Run == nil || e.Title == "" {
-			t.Fatalf("experiment %q incomplete", e.ID)
+		seen[sc.ID] = true
+		if sc.Validate() != nil || sc.Title == "" {
+			t.Fatalf("scenario %q incomplete", sc.ID)
 		}
 	}
 	if len(seen) != 31 {
@@ -195,11 +205,7 @@ func TestExtWakeupDutyCycleTradeoff(t *testing.T) {
 
 func TestTables(t *testing.T) {
 	for _, id := range []string{"table1", "table2"} {
-		e, err := ByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tbl, err := e.Run(tinyScale())
+		tbl, err := runByID(id, tinyScale())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +217,7 @@ func TestTables(t *testing.T) {
 }
 
 func TestFig4ShowsThreshold(t *testing.T) {
-	tbl, err := Fig4(tinyScale())
+	tbl, err := runByID("fig4", tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +249,7 @@ func TestFig4ShowsThreshold(t *testing.T) {
 }
 
 func TestFig6MonotoneReliability(t *testing.T) {
-	tbl, err := Fig6(tinyScale())
+	tbl, err := runByID("fig6", tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +272,7 @@ func TestFig6MonotoneReliability(t *testing.T) {
 }
 
 func TestFig7FrontierMonotoneInP(t *testing.T) {
-	tbl, err := Fig7(tinyScale())
+	tbl, err := runByID("fig7", tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +293,7 @@ func TestFig7FrontierMonotoneInP(t *testing.T) {
 }
 
 func TestFig8LinearEnergy(t *testing.T) {
-	tbl, err := Fig8(tinyScale())
+	tbl, err := runByID("fig8", tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +323,7 @@ func TestFig8LinearEnergy(t *testing.T) {
 }
 
 func TestFig12TradeoffShape(t *testing.T) {
-	tbl, err := Fig12(tinyScale())
+	tbl, err := runByID("fig12", tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +347,7 @@ func TestFig12TradeoffShape(t *testing.T) {
 }
 
 func TestFig13EnergyOrdering(t *testing.T) {
-	tbl, err := Fig13(tinyScale())
+	tbl, err := runByID("fig13", tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +372,7 @@ func TestFig13EnergyOrdering(t *testing.T) {
 }
 
 func TestFig16ReceivedBounds(t *testing.T) {
-	tbl, err := Fig16(tinyScale())
+	tbl, err := runByID("fig16", tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +392,7 @@ func TestFig16ReceivedBounds(t *testing.T) {
 }
 
 func TestFig17LatencyFallsWithDensity(t *testing.T) {
-	tbl, err := Fig17(tinyScale())
+	tbl, err := runByID("fig17", tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,19 +411,19 @@ func TestRegistrySmokeAll(t *testing.T) {
 		t.Skip("short mode")
 	}
 	s := tinyScale()
-	for _, e := range All() {
-		tbl, err := e.Run(s)
+	for _, sc := range Registry().All() {
+		tbl, err := scenario.Run(sc, s)
 		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
+			t.Fatalf("%s: %v", sc.ID, err)
 		}
 		if tbl.Title == "" || len(tbl.Series) == 0 {
-			t.Fatalf("%s produced empty table", e.ID)
+			t.Fatalf("%s produced empty table", sc.ID)
 		}
 		if out := tbl.Render(); len(out) == 0 || !strings.Contains(out, "#") {
-			t.Fatalf("%s render empty", e.ID)
+			t.Fatalf("%s render empty", sc.ID)
 		}
 		if csv := tbl.CSV(); !strings.Contains(csv, ",") {
-			t.Fatalf("%s csv empty", e.ID)
+			t.Fatalf("%s csv empty", sc.ID)
 		}
 	}
 }
@@ -433,7 +439,7 @@ func TestNetsimDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := QuickScale()
+	s := scenario.Quick()
 	s.NetRuns = 1
 	s.NetDuration = 200 * time.Second
 	s.Seed = 42

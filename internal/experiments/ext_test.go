@@ -5,7 +5,7 @@ import (
 )
 
 func TestExtGossipThresholdOrdering(t *testing.T) {
-	tbl, err := ExtGossip(tinyScale())
+	tbl, err := runByID("extgossip", tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestExtGossipThresholdOrdering(t *testing.T) {
 }
 
 func TestExtKBatchingHelps(t *testing.T) {
-	tbl, err := ExtK(tinyScale())
+	tbl, err := runByID("extk", tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestExtKBatchingHelps(t *testing.T) {
 }
 
 func TestExtAdaptiveRecoversReliability(t *testing.T) {
-	tbl, err := ExtAdaptive(tinyScale())
+	tbl, err := runByID("extadaptive", tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestExtAdaptiveRecoversReliability(t *testing.T) {
 }
 
 func TestExtLossDegradesGracefully(t *testing.T) {
-	tbl, err := ExtLoss(tinyScale())
+	tbl, err := runByID("extloss", tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,81 +116,3 @@ func Registry() *scenario.Registry {
 	})
 	return registry
 }
-
-// Experiment is the registry-facing view of one scenario, kept for callers
-// (benchmarks, older tooling) written against the pre-engine API.
-type Experiment struct {
-	// ID is the short handle used by the CLI ("fig4", "table1", ...).
-	ID string
-	// Title describes the artifact.
-	Title string
-	// Run regenerates the data at the given scale.
-	Run func(Scale) (*stats.Table, error)
-}
-
-// All returns every experiment in presentation order.
-func All() []Experiment {
-	scs := Registry().All()
-	out := make([]Experiment, 0, len(scs))
-	for _, sc := range scs {
-		sc := sc
-		out = append(out, Experiment{
-			ID:    sc.ID,
-			Title: sc.Title,
-			Run:   func(s Scale) (*stats.Table, error) { return scenario.Run(sc, s) },
-		})
-	}
-	return out
-}
-
-// ByID looks up an experiment (case- and space-insensitively).
-func ByID(id string) (Experiment, error) {
-	sc, err := Registry().ByID(id)
-	if err != nil {
-		return Experiment{}, err
-	}
-	return Experiment{
-		ID:    sc.ID,
-		Title: sc.Title,
-		Run:   func(s Scale) (*stats.Table, error) { return scenario.Run(sc, s) },
-	}, nil
-}
-
-// The named regenerators below are stable entry points for benchmarks and
-// tests; each runs its registered scenario through the engine.
-
-func Table1(s Scale) (*stats.Table, error) { return runByID("table1", s) }
-func Table2(s Scale) (*stats.Table, error) { return runByID("table2", s) }
-func Fig4(s Scale) (*stats.Table, error)   { return runByID("fig4", s) }
-func Fig5(s Scale) (*stats.Table, error)   { return runByID("fig5", s) }
-func Fig6(s Scale) (*stats.Table, error)   { return runByID("fig6", s) }
-func Fig7(s Scale) (*stats.Table, error)   { return runByID("fig7", s) }
-func Fig8(s Scale) (*stats.Table, error)   { return runByID("fig8", s) }
-func Fig9(s Scale) (*stats.Table, error)   { return runByID("fig9", s) }
-func Fig10(s Scale) (*stats.Table, error)  { return runByID("fig10", s) }
-func Fig11(s Scale) (*stats.Table, error)  { return runByID("fig11", s) }
-func Fig12(s Scale) (*stats.Table, error)  { return runByID("fig12", s) }
-func Fig13(s Scale) (*stats.Table, error)  { return runByID("fig13", s) }
-func Fig14(s Scale) (*stats.Table, error)  { return runByID("fig14", s) }
-func Fig15(s Scale) (*stats.Table, error)  { return runByID("fig15", s) }
-func Fig16(s Scale) (*stats.Table, error)  { return runByID("fig16", s) }
-func Fig17(s Scale) (*stats.Table, error)  { return runByID("fig17", s) }
-func Fig18(s Scale) (*stats.Table, error)  { return runByID("fig18", s) }
-
-func ExtGossip(s Scale) (*stats.Table, error)   { return runByID("extgossip", s) }
-func ExtK(s Scale) (*stats.Table, error)        { return runByID("extk", s) }
-func ExtAdaptive(s Scale) (*stats.Table, error) { return runByID("extadaptive", s) }
-func ExtLoss(s Scale) (*stats.Table, error)     { return runByID("extloss", s) }
-func ExtTMAC(s Scale) (*stats.Table, error)     { return runByID("exttmac", s) }
-func ExtWakeup(s Scale) (*stats.Table, error)   { return runByID("extwakeup", s) }
-
-func ExtCluster(s Scale) (*stats.Table, error)  { return runByID("extcluster", s) }
-func ExtCorridor(s Scale) (*stats.Table, error) { return runByID("extcorridor", s) }
-func ExtLinkLoss(s Scale) (*stats.Table, error) { return runByID("extlinkloss", s) }
-func ExtChurn(s Scale) (*stats.Table, error)    { return runByID("extchurn", s) }
-func ExtHetero(s Scale) (*stats.Table, error)   { return runByID("exthetero", s) }
-
-func ExtCompare(s Scale) (*stats.Table, error) { return runByID("extcompare", s) }
-
-func ExtLifetime(s Scale) (*stats.Table, error) { return runByID("extlifetime", s) }
-func ExtHarvest(s Scale) (*stats.Table, error)  { return runByID("extharvest", s) }

@@ -5,8 +5,8 @@
 // plot; the CLI (cmd/pbbf) and the benchmark harness (bench_test.go) are
 // thin wrappers around the registry this package builds.
 //
-// Scenarios run at a configurable scenario.Scale: PaperScale reproduces
-// the paper's dimensions (75×75 grids, 10 runs per point); QuickScale
+// Scenarios run at a configurable scenario.Scale: scenario.Paper reproduces
+// the paper's dimensions (75×75 grids, 10 runs per point); scenario.Quick
 // shrinks everything so the full suite finishes in seconds for CI and
 // benchmarks. Shapes — thresholds, orderings, crossovers — are preserved
 // at both scales; see docs/EXPERIMENTS.md for the recorded outcomes.
@@ -14,18 +14,11 @@ package experiments
 
 import (
 	"pbbf/internal/scenario"
-	"pbbf/internal/stats"
 )
 
-// Scale aliases scenario.Scale so existing callers (benchmarks, tests)
-// keep their spelling; new code can use either name.
+// Scale is scenario.Scale under the short name the scenario definitions
+// in this package use.
 type Scale = scenario.Scale
-
-// PaperScale returns the paper's dimensions (scenario.Paper).
-func PaperScale() Scale { return scenario.Paper() }
-
-// QuickScale returns the CI-sized dimensions (scenario.Quick).
-func QuickScale() Scale { return scenario.Quick() }
 
 // sweepRange, pointSeed, and fbits forward to the scenario engine's
 // shared helpers; the scenario definitions below use them constantly.
@@ -34,13 +27,3 @@ func sweepRange(from, to, step float64) []float64 { return scenario.SweepRange(f
 func pointSeed(base uint64, parts ...uint64) uint64 { return scenario.PointSeed(base, parts...) }
 
 func fbits(f float64) uint64 { return scenario.FloatBits(f) }
-
-// runByID runs one registered scenario through the engine — the shared
-// implementation behind the exported Fig*/Table*/Ext* functions.
-func runByID(id string, s Scale) (*stats.Table, error) {
-	sc, err := Registry().ByID(id)
-	if err != nil {
-		return nil, err
-	}
-	return scenario.Run(sc, s)
-}

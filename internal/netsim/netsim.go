@@ -7,19 +7,17 @@
 // The paper used ns-2 with a modified 802.11 PSM MAC; this package is the
 // equivalent substrate built on internal/sim + internal/phy + internal/mac
 // (see README.md for the architecture and docs/EXPERIMENTS.md for the
-// figures it backs).
+// figures it backs). RunPool (pool.go) is the one implementation of the
+// simulator: a sweep worker keeps one pool for all its points, and Run is a
+// run on a fresh pool.
 package netsim
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
-	"pbbf/internal/codedist"
 	"pbbf/internal/mac"
-	"pbbf/internal/phy"
 	"pbbf/internal/rng"
-	"pbbf/internal/sim"
 	"pbbf/internal/stats"
 	"pbbf/internal/topo"
 )
@@ -216,232 +214,6 @@ type Result struct {
 	FramesStarted, FramesDelivered, FramesCollided int
 }
 
-// lifetimeMetrics fills the network-lifetime fields of res from the
-// fleet's death times. buf is scratch for the sorted times; the
-// possibly-grown buffer is returned so a pooled caller can reuse it.
-func lifetimeMetrics(res *Result, cfg *Config, nodes []*mac.Node, buf []time.Duration) []time.Duration {
-	buf = buf[:0]
-	for _, node := range nodes {
-		if node.Dead() {
-			buf = append(buf, node.DiedAt())
-		}
-	}
-	slices.Sort(buf)
-	horizon := cfg.Duration.Seconds()
-	res.TimeToFirstDeathS = horizon
-	res.TimeToHalfDeadS = horizon
-	if len(buf) > 0 {
-		res.TimeToFirstDeathS = buf[0].Seconds()
-	}
-	n := len(nodes)
-	if half := (n + 1) / 2; len(buf) >= half {
-		res.TimeToHalfDeadS = buf[half-1].Seconds()
-	}
-	const coverageSamples = 11
-	res.CoverageOverTime = make([]float64, coverageSamples)
-	k := 0
-	for s := 0; s < coverageSamples; s++ {
-		t := time.Duration(float64(cfg.Duration) * float64(s) / float64(coverageSamples-1))
-		for k < len(buf) && buf[k] <= t {
-			k++
-		}
-		res.CoverageOverTime[s] = float64(n-k) / float64(n)
-	}
-	return buf
-}
-
-// Run executes one scenario.
-func Run(cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	kernel := sim.NewKernel()
-	channel := phy.NewChannel(kernel, cfg.Topo)
-	channel.SetTrace(cfg.MAC.Trace)
-	base := rng.New(cfg.Seed)
-	if cfg.Loss.Rate > 0 {
-		if err := channel.SetLoss(cfg.Loss.Rate, base.Split()); err != nil {
-			return nil, err
-		}
-	}
-	// Every diversity feature draws its splits conditionally, so runs with
-	// the feature off consume the exact random stream they always did —
-	// existing scenarios stay byte-identical.
-	if cfg.Loss.LinkMean > 0 {
-		table, err := phy.NewUniformLinkLoss(cfg.Topo, cfg.Loss.LinkMean, base.Split())
-		if err != nil {
-			return nil, err
-		}
-		if err := channel.SetLinkLoss(table, base.Split()); err != nil {
-			return nil, err
-		}
-	}
-	var heteroRNG *rng.Source
-	if cfg.Hetero.Enabled() {
-		heteroRNG = base.Split()
-	}
-	var energyRNG *rng.Source
-	if cfg.Energy.Enabled() {
-		energyRNG = base.Split()
-	}
-
-	n := cfg.Topo.N()
-	trackers := make([]*codedist.Tracker, n)
-	nodes := make([]*mac.Node, n)
-	for i := 0; i < n; i++ {
-		trackers[i] = codedist.NewTracker()
-		tracker := trackers[i]
-		nodeCfg := cfg.MAC
-		if heteroRNG != nil {
-			nodeCfg.Params = cfg.Hetero.Sample(cfg.MAC.Params, heteroRNG)
-		}
-		if energyRNG != nil {
-			nodeCfg.Energy = cfg.Energy.Sample(energyRNG)
-		}
-		node, err := mac.NewNode(topo.NodeID(i), nodeCfg, kernel, channel, base.Split(),
-			func(pkt mac.Packet, _ topo.NodeID, now time.Duration) {
-				if payload, ok := pkt.Payload.(codedist.Payload); ok {
-					tracker.Observe(payload, now)
-				}
-			})
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = node
-	}
-
-	// Churn: pick the victims and their death times from one dedicated
-	// split, then schedule the fail-stop kills. The source is never killed
-	// (a dead source makes the delivery metric meaningless).
-	if cfg.Churn.FailFraction > 0 {
-		churnRNG := base.Split()
-		deaths := int(cfg.Churn.FailFraction*float64(n-1) + 0.5)
-		victims := make([]topo.NodeID, 0, deaths)
-		for _, id := range churnRNG.Perm(n) {
-			if len(victims) == deaths {
-				break
-			}
-			if topo.NodeID(id) != cfg.Source {
-				victims = append(victims, topo.NodeID(id))
-			}
-		}
-		for _, id := range victims {
-			at := time.Duration(churnRNG.Float64() * float64(cfg.Duration))
-			kernel.ScheduleAt(at, nodes[id].Kill)
-		}
-	}
-
-	// Update generation: deterministic at rate λ, starting at t=0 (frame
-	// boundaries, so updates arrive during the ATIM window). These events
-	// are scheduled before the frame ticks and therefore fire first at
-	// equal timestamps, letting the source announce in the same window.
-	source, err := codedist.NewSource(cfg.K)
-	if err != nil {
-		return nil, err
-	}
-	// The generate/tick/window callbacks are created once and rescheduled
-	// into pooled event slots, so the whole beacon machinery runs
-	// allocation-free regardless of horizon length.
-	generate := func() {
-		payload := source.Generate(kernel.Now())
-		trackers[cfg.Source].Observe(payload, kernel.Now())
-		nodes[cfg.Source].Broadcast(mac.Packet{
-			Key:     mac.PacketKeyFor(cfg.Source, uint64(source.Generated()-1)),
-			Payload: payload,
-		})
-	}
-	interval := time.Duration(float64(time.Second) / cfg.Lambda)
-	for at := time.Duration(0); at < cfg.Duration; at += interval {
-		kernel.ScheduleAt(at, generate)
-	}
-
-	// Beacon schedule: one recurring frame tick fans StartFrame out over
-	// the reusable node slice at each beacon, then EndATIMWindow when the
-	// window closes. Nodes are visited in ID order, keeping runs
-	// deterministic.
-	endWindow := func() {
-		for _, node := range nodes {
-			node.EndATIMWindow()
-		}
-	}
-	var tick func()
-	tick = func() {
-		for _, node := range nodes {
-			node.StartFrame()
-		}
-		kernel.Schedule(cfg.MAC.Timing.Active, endWindow)
-		kernel.Schedule(cfg.MAC.Timing.Frame, tick)
-	}
-	kernel.ScheduleAt(0, tick)
-
-	if err := kernel.Run(cfg.Duration); err != nil {
-		return nil, err
-	}
-
-	return harvest(cfg, nodes, trackers, channel, source.Generated()), nil
-}
-
-// harvest computes the Result from final simulation state.
-func harvest(cfg Config, nodes []*mac.Node, trackers []*codedist.Tracker,
-	channel *phy.Channel, generated int) *Result {
-	res := &Result{
-		UpdatesGenerated: generated,
-		LatencyAtHop:     make(map[int]*stats.Accumulator, len(cfg.TrackHops)),
-		NodesAtHop:       make(map[int]int, len(cfg.TrackHops)),
-	}
-	dist := topo.HopDistances(cfg.Topo, cfg.Source)
-	for _, h := range cfg.TrackHops {
-		res.LatencyAtHop[h] = &stats.Accumulator{}
-		for _, d := range dist {
-			if d == h {
-				res.NodesAtHop[h]++
-			}
-		}
-	}
-
-	var energyTotal, energySq float64
-	var fraction stats.Accumulator
-	for i, node := range nodes {
-		node.FinishMetering(cfg.Duration)
-		e := node.EnergyAt(cfg.Duration)
-		energyTotal += e
-		energySq += e * e
-		if node.Dead() {
-			if node.Depleted() {
-				res.NodesDepleted++
-			} else {
-				res.NodesDied++
-			}
-		}
-		if topo.NodeID(i) == cfg.Source {
-			continue
-		}
-		tr := trackers[i]
-		if generated > 0 {
-			fraction.Add(float64(tr.Received()) / float64(generated))
-		}
-		// Iterate by sequence number: map order would make the floating-
-		// point accumulation (and hence the run) nondeterministic.
-		for seq := 0; seq < generated; seq++ {
-			lat, ok := tr.Latency(seq)
-			if !ok {
-				continue
-			}
-			res.Latency.Add(lat.Seconds())
-			if acc, ok := res.LatencyAtHop[dist[i]]; ok {
-				acc.Add(lat.Seconds())
-			}
-		}
-	}
-	if generated > 0 {
-		res.EnergyPerUpdateJ = energyTotal / float64(len(nodes)) / float64(generated)
-	}
-	mean := energyTotal / float64(len(nodes))
-	res.EnergyVarianceJ2 = energySq/float64(len(nodes)) - mean*mean
-	if cfg.Energy.Enabled() {
-		lifetimeMetrics(res, &cfg, nodes, nil)
-	}
-	res.UpdatesReceivedFraction = fraction.Mean()
-	res.FramesStarted, res.FramesDelivered, res.FramesCollided = channel.Stats()
-	return res
-}
+// Run executes one scenario on a fresh RunPool, so the returned Result is
+// the caller's alone.
+func Run(cfg Config) (*Result, error) { return NewRunPool().Run(cfg) }

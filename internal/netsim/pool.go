@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"time"
 
 	"pbbf/internal/codedist"
@@ -12,17 +13,17 @@ import (
 	"pbbf/internal/topo"
 )
 
-// RunPool owns every reusable piece of one simulation run: the event
-// kernel, the channel, a node fleet with its struct-of-arrays energy bank,
-// per-node trackers, the code-distribution source, the link-loss table, the
-// churn and BFS scratch buffers, and all the run-level callbacks — bound
-// once and rescheduled forever. A sweep worker that runs thousands of
-// points through one pool performs its steady-state simulation work with
-// (near) zero allocation.
+// RunPool is the simulator. It owns every reusable piece of one run: the
+// event kernel, the channel, a node fleet with its struct-of-arrays energy
+// bank, per-node trackers, the code-distribution source, the link-loss
+// table, the churn and BFS scratch buffers, and all the run-level callbacks
+// — bound once and rescheduled forever. A sweep worker that runs thousands
+// of points through one pool performs its steady-state simulation work
+// with (near) zero allocation; the package-level Run uses a fresh pool.
 //
-// Determinism: a pooled run draws exactly the random stream Run draws for
-// the same Config, so results are byte-identical to the unpooled path. A
-// RunPool is not safe for concurrent use; give each worker its own.
+// Determinism: a run's result depends only on its Config, never on what
+// the pool ran before. A RunPool is not safe for concurrent use; give each
+// worker its own.
 type RunPool struct {
 	kernel   *sim.Kernel
 	channel  *phy.Channel
@@ -59,6 +60,8 @@ type RunPool struct {
 // NewRunPool returns a pool ready for its first Run.
 func NewRunPool() *RunPool {
 	p := &RunPool{kernel: sim.NewKernel(), fleet: mac.NewFleet()}
+	// Update generation: the source creates an update and announces it in
+	// the current ATIM window.
 	p.generateFn = func() {
 		now := p.kernel.Now()
 		payload := p.source.Generate(now)
@@ -68,6 +71,9 @@ func NewRunPool() *RunPool {
 			Payload: payload,
 		})
 	}
+	// Beacon schedule: one recurring frame tick fans StartFrame out over the
+	// fleet at each beacon, then EndATIMWindow when the window closes. Nodes
+	// are visited in ID order, keeping runs deterministic.
 	p.endWindow = func() {
 		for _, node := range p.fleet.Nodes() {
 			node.EndATIMWindow()
@@ -107,9 +113,8 @@ func (p *RunPool) killFor(i int) func() {
 	return p.kills[i]
 }
 
-// Run executes one scenario on the pool's reused state. The sequence of
-// operations — and in particular of random draws — mirrors the package
-// Run function step for step; see the comments there for the rationale.
+// Run executes one scenario on the pool's reused state. The returned
+// Result is freshly allocated and safe to retain across later runs.
 func (p *RunPool) Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -132,6 +137,9 @@ func (p *RunPool) Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
+	// Every diversity feature draws its splits conditionally, so runs with
+	// the feature off consume the exact random stream they always did —
+	// existing scenarios stay byte-identical.
 	if cfg.Loss.LinkMean > 0 {
 		base.SplitInto(&p.fillRNG)
 		if err := p.linkLoss.FillUniform(cfg.Topo, cfg.Loss.LinkMean, &p.fillRNG); err != nil {
@@ -174,6 +182,9 @@ func (p *RunPool) Run(cfg Config) (*Result, error) {
 		}
 	}
 
+	// Churn: pick the victims and their death times from one dedicated
+	// split, then schedule the fail-stop kills. The source is never killed
+	// (a dead source makes the delivery metric meaningless).
 	if cfg.Churn.FailFraction > 0 {
 		base.SplitInto(&p.churnRNG)
 		churnRNG := &p.churnRNG
@@ -200,6 +211,10 @@ func (p *RunPool) Run(cfg Config) (*Result, error) {
 	if err := p.source.Reset(cfg.K); err != nil {
 		return nil, err
 	}
+	// Updates are generated deterministically at rate λ from t=0, on frame
+	// boundaries so they arrive during the ATIM window. They are scheduled
+	// before the first frame tick and therefore fire first at equal
+	// timestamps, letting the source announce in the same window.
 	interval := time.Duration(float64(time.Second) / cfg.Lambda)
 	for at := time.Duration(0); at < cfg.Duration; at += interval {
 		kernel.ScheduleAt(at, p.generateFn)
@@ -212,10 +227,8 @@ func (p *RunPool) Run(cfg Config) (*Result, error) {
 	return p.harvest(), nil
 }
 
-// harvest computes the Result from final simulation state — the pooled
-// counterpart of the package harvest function, with BFS running on the
-// pool's scratch. The returned Result is freshly allocated and safe to
-// retain across later runs.
+// harvest computes the Result from final simulation state, with BFS
+// running on the pool's scratch.
 func (p *RunPool) harvest() *Result {
 	cfg := &p.cfg
 	generated := p.source.Generated()
@@ -275,9 +288,43 @@ func (p *RunPool) harvest() *Result {
 	mean := energyTotal / float64(len(nodes))
 	res.EnergyVarianceJ2 = energySq/float64(len(nodes)) - mean*mean
 	if cfg.Energy.Enabled() {
-		p.deaths = lifetimeMetrics(res, cfg, nodes, p.deaths)
+		p.lifetimeMetrics(res)
 	}
 	res.UpdatesReceivedFraction = fraction.Mean()
 	res.FramesStarted, res.FramesDelivered, res.FramesCollided = p.channel.Stats()
 	return res
+}
+
+// lifetimeMetrics fills the network-lifetime fields of res from the
+// fleet's death times, sorted in the pool's deaths buffer.
+func (p *RunPool) lifetimeMetrics(res *Result) {
+	nodes := p.fleet.Nodes()
+	buf := p.deaths[:0]
+	for _, node := range nodes {
+		if node.Dead() {
+			buf = append(buf, node.DiedAt())
+		}
+	}
+	slices.Sort(buf)
+	p.deaths = buf
+	horizon := p.cfg.Duration.Seconds()
+	res.TimeToFirstDeathS = horizon
+	res.TimeToHalfDeadS = horizon
+	if len(buf) > 0 {
+		res.TimeToFirstDeathS = buf[0].Seconds()
+	}
+	n := len(nodes)
+	if half := (n + 1) / 2; len(buf) >= half {
+		res.TimeToHalfDeadS = buf[half-1].Seconds()
+	}
+	const coverageSamples = 11
+	res.CoverageOverTime = make([]float64, coverageSamples)
+	k := 0
+	for s := 0; s < coverageSamples; s++ {
+		t := time.Duration(float64(p.cfg.Duration) * float64(s) / float64(coverageSamples-1))
+		for k < len(buf) && buf[k] <= t {
+			k++
+		}
+		res.CoverageOverTime[s] = float64(n-k) / float64(n)
+	}
 }

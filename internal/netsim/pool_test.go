@@ -16,7 +16,7 @@ import (
 
 // poolTestConfigs returns a config matrix exercising every conditional
 // feature path (loss, link loss, churn, hetero, adaptive) over small
-// fields, so pool-vs-fresh equivalence covers each RNG-split branch.
+// fields, so reused-vs-fresh equivalence covers each RNG-split branch.
 func poolTestConfigs(t *testing.T) []Config {
 	t.Helper()
 	mk := func(n int, seed uint64, mutate func(*Config)) Config {
@@ -58,9 +58,9 @@ func poolTestConfigs(t *testing.T) []Config {
 	}
 }
 
-// TestRunPoolMatchesRun: a pooled run must be observably identical to the
-// unpooled Run for the same Config — same draws, same metrics — and stay
-// identical when the pool is dirty from runs of other shapes and features.
+// TestRunPoolMatchesRun: a run on a pool dirty from runs of other shapes
+// and features must be observably identical to Run, which uses a fresh
+// pool — same draws, same metrics. TestPinnedResults pins the values.
 func TestRunPoolMatchesRun(t *testing.T) {
 	pool := NewRunPool()
 	for i, cfg := range poolTestConfigs(t) {
@@ -70,10 +70,10 @@ func TestRunPoolMatchesRun(t *testing.T) {
 		}
 		got, err := pool.Run(cfg)
 		if err != nil {
-			t.Fatalf("config %d: pooled run: %v", i, err)
+			t.Fatalf("config %d: reused-pool run: %v", i, err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("config %d: pooled result diverges\nfresh:  %+v\npooled: %+v", i, want, got)
+			t.Errorf("config %d: reused-pool result diverges\nfresh:  %+v\nreused: %+v", i, want, got)
 		}
 	}
 }
@@ -98,8 +98,8 @@ func TestRunPoolRepeatIdentical(t *testing.T) {
 }
 
 // TestRunPoolConcurrentWorkers: one pool per goroutine is the sweep
-// deployment model; every worker must reproduce the single-threaded result.
-// Run with -race in CI.
+// deployment model; every worker's reused pool must reproduce the result
+// of a fresh one. Run with -race in CI.
 func TestRunPoolConcurrentWorkers(t *testing.T) {
 	cfgs := poolTestConfigs(t)
 	want := make([]*Result, len(cfgs))

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
 
 	"pbbf/internal/core"
@@ -86,28 +87,30 @@ func TestRivalProtocolsDeterministic(t *testing.T) {
 	}
 }
 
-// TestRivalProtocolsPooledMatchesUnpooled extends the pooled-equals-unpooled
-// determinism guarantee to protocol dispatch: RunPool must produce the exact
-// results of Run for every rival, not only for PBBF.
+// TestRivalProtocolsPooledMatchesUnpooled extends the reused-equals-fresh
+// determinism guarantee to protocol dispatch: a pool dirty from runs of
+// other protocols must return Run's exact Result for every rival, not only
+// for PBBF.
 func TestRivalProtocolsPooledMatchesUnpooled(t *testing.T) {
 	pool := NewRunPool()
+	if _, err := pool.Run(protoScenario(t, protocol.Spec{}, 15)); err != nil {
+		t.Fatal(err)
+	}
 	for _, spec := range []protocol.Spec{
 		{Name: protocol.NameSleepSched},
 		{Name: protocol.NameOLA, RelayThreshold: 2},
 	} {
 		cfg := protoScenario(t, spec, 14)
-		plain, err := Run(cfg)
+		fresh, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
-		pooled, err := pool.Run(cfg)
+		reused, err := pool.Run(cfg)
 		if err != nil {
-			t.Fatalf("%s pooled: %v", spec.Name, err)
+			t.Fatalf("%s reused pool: %v", spec.Name, err)
 		}
-		if plain.EnergyPerUpdateJ != pooled.EnergyPerUpdateJ ||
-			plain.UpdatesReceivedFraction != pooled.UpdatesReceivedFraction ||
-			plain.Latency.Mean() != pooled.Latency.Mean() {
-			t.Errorf("%s: pooled diverged from unpooled: %+v vs %+v", spec.Name, plain, pooled)
+		if !reflect.DeepEqual(fresh, reused) {
+			t.Errorf("%s: reused pool diverged from fresh: %+v vs %+v", spec.Name, fresh, reused)
 		}
 	}
 }

@@ -10,9 +10,10 @@ import (
 
 // TestTraceNeutrality: attaching a trace sink must not change anything the
 // simulation computes — recording draws no randomness and mutates no
-// state — and the pooled and unpooled paths must emit the exact same
-// event stream for the same Config.
+// state — and a pool reused across configs must emit the exact event
+// stream of a fresh one for the same Config.
 func TestTraceNeutrality(t *testing.T) {
+	pool := NewRunPool()
 	for i, cfg := range poolTestConfigs(t) {
 		baseline, err := Run(cfg)
 		if err != nil {
@@ -33,15 +34,14 @@ func TestTraceNeutrality(t *testing.T) {
 			t.Fatalf("config %d: traced run recorded no events", i)
 		}
 
-		var pooledSlab trace.Slab
-		traced.MAC.Trace = &pooledSlab
-		pool := NewRunPool()
+		var reusedSlab trace.Slab
+		traced.MAC.Trace = &reusedSlab
 		if _, err := pool.Run(traced); err != nil {
-			t.Fatalf("config %d: pooled traced run: %v", i, err)
+			t.Fatalf("config %d: reused-pool traced run: %v", i, err)
 		}
-		if !reflect.DeepEqual(freshSlab.Events, pooledSlab.Events) {
-			t.Errorf("config %d: pooled run emits a different event stream (%d vs %d events)",
-				i, len(pooledSlab.Events), len(freshSlab.Events))
+		if !reflect.DeepEqual(freshSlab.Events, reusedSlab.Events) {
+			t.Errorf("config %d: reused pool emits a different event stream (%d vs %d events)",
+				i, len(reusedSlab.Events), len(freshSlab.Events))
 		}
 	}
 }

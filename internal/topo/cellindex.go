@@ -34,7 +34,7 @@ func NewCellIndex(pts []Point, side, cellSize float64) *CellIndex {
 }
 
 // build populates the index in place, reusing the starts/nodes arrays when
-// their capacity allows — the pooled counterpart of NewCellIndex. fillScratch,
+// their capacity allows; NewCellIndex builds a fresh one. fillScratch,
 // when non-nil, supplies the counting-sort placement cursor's storage so a
 // rebuilt index allocates nothing at steady state.
 func (ci *CellIndex) build(pts []Point, side, cellSize float64, fillScratch *[]int32) {

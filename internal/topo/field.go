@@ -12,7 +12,6 @@ package topo
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"pbbf/internal/rng"
 )
@@ -31,51 +30,12 @@ type Field struct {
 
 var _ Topology = (*Field)(nil)
 
-// NewField builds the disk graph over the given placement. Positions are
-// expected inside [0,w)×[0,h); the spatial index clamps strays into border
-// cells, so out-of-rectangle points degrade performance, not correctness.
+// NewField builds the disk graph over the given placement, which the
+// returned field keeps. Positions are expected inside [0,w)×[0,h); the
+// spatial index clamps strays into border cells, so out-of-rectangle points
+// degrade performance, not correctness.
 func NewField(positions []Point, w, h, rangeM float64) (*Field, error) {
-	if len(positions) == 0 {
-		return nil, fmt.Errorf("topo: empty placement")
-	}
-	if rangeM <= 0 || w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("topo: range and extent must be positive, got R=%v w=%v h=%v", rangeM, w, h)
-	}
-	f := &Field{positions: positions, rangeM: rangeM, w: w, h: h}
-	f.neighbors, f.index = diskAdjacency(positions, math.Max(w, h), rangeM)
-	return f, nil
-}
-
-// diskAdjacency builds sorted unit-disk adjacency lists over positions via
-// the grid-bucket index: each node scans only the cell block around it
-// (O(N·Δ) total) and the whole adjacency lives in one backing array. This
-// is the construction NewRandomDisk uses; both produce lists bit-identical
-// to the original pairwise builder.
-func diskAdjacency(positions []Point, extent, rangeM float64) ([][]NodeID, *CellIndex) {
-	n := len(positions)
-	index := NewCellIndex(positions, extent, rangeM)
-	neighbors := make([][]NodeID, n)
-	degree := make([]int32, n)
-	total := 0
-	for i := 0; i < n; i++ {
-		k := 0
-		index.ForEachWithin(positions[i], rangeM, func(NodeID) { k++ })
-		degree[i] = int32(k - 1) // exclude self
-		total += k - 1
-	}
-	backing := make([]NodeID, 0, total)
-	for i := 0; i < n; i++ {
-		start := len(backing)
-		index.ForEachWithin(positions[i], rangeM, func(j NodeID) {
-			if int(j) != i {
-				backing = append(backing, j)
-			}
-		})
-		list := backing[start : start+int(degree[i]) : start+int(degree[i])]
-		slices.Sort(list)
-		neighbors[i] = list
-	}
-	return neighbors, index
+	return NewScratch().buildField(positions, w, h, rangeM)
 }
 
 // N returns the node count.
@@ -149,25 +109,10 @@ func (c ClusterConfig) Validate() error {
 // balanced regardless of N), and scatters each node around its center with
 // an isotropic Gaussian of standard deviation cfg.Sigma, clamped into the
 // region. Clustered draws may be disconnected far more often than uniform
-// ones; use NewConnectedField for the retry loop.
+// ones; use NewConnectedField for the retry loop. It builds on a fresh
+// Scratch, which the returned field owns.
 func NewGaussianClusters(cfg ClusterConfig, r *rng.Source) (*Field, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	side := math.Sqrt(cfg.Area)
-	centers := make([]Point, cfg.Clusters)
-	for i := range centers {
-		centers[i] = Point{X: r.Float64() * side, Y: r.Float64() * side}
-	}
-	positions := make([]Point, cfg.N)
-	for i := range positions {
-		c := centers[i%cfg.Clusters]
-		positions[i] = Point{
-			X: clampTo(c.X+cfg.Sigma*r.NormFloat64(), side),
-			Y: clampTo(c.Y+cfg.Sigma*r.NormFloat64(), side),
-		}
-	}
-	return NewField(positions, side, side, cfg.Range)
+	return NewScratch().GaussianClusters(cfg, r)
 }
 
 // clampTo clamps v into [0, limit).
@@ -214,33 +159,16 @@ func (c CorridorConfig) Validate() error {
 
 // NewCorridor places nodes uniformly at random in the Aspect-stretched
 // rectangle. Long corridors disconnect whenever a lengthwise gap exceeds
-// the radio range; use NewConnectedField for the retry loop.
+// the radio range; use NewConnectedField for the retry loop. It builds on a
+// fresh Scratch, which the returned field owns.
 func NewCorridor(cfg CorridorConfig, r *rng.Source) (*Field, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	w := math.Sqrt(cfg.Area * cfg.Aspect)
-	h := cfg.Area / w
-	positions := make([]Point, cfg.N)
-	for i := range positions {
-		positions[i] = Point{X: r.Float64() * w, Y: r.Float64() * h}
-	}
-	return NewField(positions, w, h, cfg.Range)
+	return NewScratch().Corridor(cfg, r)
 }
 
 // NewConnectedField retries gen until it returns a connected field, up to
-// maxTries attempts — the Field counterpart of NewConnectedRandomDisk. The
+// maxTries attempts — the Field version of NewConnectedRandomDisk. The
 // generator draws from r on every attempt, so each try sees a fresh
 // placement.
 func NewConnectedField(gen func(*rng.Source) (*Field, error), r *rng.Source, maxTries int) (*Field, error) {
-	for try := 0; try < maxTries; try++ {
-		f, err := gen(r)
-		if err != nil {
-			return nil, err
-		}
-		if Connected(f) {
-			return f, nil
-		}
-	}
-	return nil, fmt.Errorf("topo: no connected placement after %d tries", maxTries)
+	return NewScratch().ConnectedField(gen, r, maxTries)
 }

@@ -1,11 +1,12 @@
-// This file holds Scratch, the pooled topology builder. Every generator in
-// the package has a Scratch counterpart that performs the same random draws
-// and produces bit-identical adjacency, but builds into buffers owned by the
-// Scratch: positions, neighbor lists, the single backing array, the spatial
-// index (including its counting-sort cursor), the BFS frontier, and the
-// topology value itself are all reused across builds. A sweep running
-// thousands of points through one Scratch constructs topologies with zero
-// steady-state allocation.
+// This file holds Scratch, the one implementation of every random-field
+// generator in the package. A Scratch builds into buffers it owns:
+// positions, neighbor lists, the single backing array, the spatial index
+// (including its counting-sort cursor), the BFS frontier, and the topology
+// value itself are all reused across builds. A sweep running thousands of
+// points through one Scratch constructs topologies with zero steady-state
+// allocation. The package-level random-field builders (NewRandomDisk,
+// NewField, NewGaussianClusters, ...) each run on a fresh Scratch that the
+// returned topology keeps, so their results are never invalidated.
 //
 // A Scratch holds ONE topology at a time: any build or BFS query invalidates
 // the previously returned topology and distance slice. Scratches are not
@@ -49,10 +50,12 @@ type Scratch struct {
 // NewScratch returns an empty scratch; buffers grow to fit on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// diskAdjacency is the package-level diskAdjacency building into the
-// scratch's buffers: same cell-index scan, same single-backing-array layout,
-// same ascending sort, so the lists are bit-identical to the unpooled
-// construction.
+// diskAdjacency builds sorted unit-disk adjacency lists over positions via
+// the grid-bucket index: each node scans only the cell block around it
+// (O(N·Δ) total) instead of every other node (O(N²)), and the whole
+// adjacency lives in one backing array. Lists are sorted ascending, the
+// order the pairwise construction produces, so topologies are bit-identical
+// to it (TestRandomDiskMatchesPairwiseBuilder).
 func (sc *Scratch) diskAdjacency(positions []Point, extent, rangeM float64) ([][]NodeID, *CellIndex) {
 	n := len(positions)
 	sc.index.build(positions, extent, rangeM, &sc.fill)
@@ -86,9 +89,10 @@ func (sc *Scratch) diskAdjacency(positions []Point, extent, rangeM float64) ([][
 	return neighbors, index
 }
 
-// RandomDisk is NewRandomDisk building into the scratch: identical draws
-// (two Float64 per node, in node order) and identical adjacency. The
-// returned topology is valid until the next build on sc.
+// RandomDisk places cfg.N nodes uniformly at random in a square of area
+// cfg.Area, drawing two Float64 per node in node order, and connects pairs
+// within cfg.Range. The returned topology is valid until the next build on
+// sc.
 func (sc *Scratch) RandomDisk(cfg DiskConfig, r *rng.Source) (*RandomDisk, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("topo: node count must be positive, got %d", cfg.N)
@@ -112,9 +116,8 @@ func (sc *Scratch) RandomDisk(cfg DiskConfig, r *rng.Source) (*RandomDisk, error
 	return &sc.disk, nil
 }
 
-// ConnectedRandomDisk is NewConnectedRandomDisk on the scratch: the same
-// retry loop over the same draws, with the connectivity check running on the
-// scratch's BFS buffers.
+// ConnectedRandomDisk retries RandomDisk until the graph is connected, up to
+// maxTries attempts, checking connectivity on the scratch's BFS buffers.
 func (sc *Scratch) ConnectedRandomDisk(cfg DiskConfig, r *rng.Source, maxTries int) (*RandomDisk, error) {
 	for try := 0; try < maxTries; try++ {
 		d, err := sc.RandomDisk(cfg, r)
@@ -129,8 +132,8 @@ func (sc *Scratch) ConnectedRandomDisk(cfg DiskConfig, r *rng.Source, maxTries i
 		cfg.N, cfg.Density(), maxTries)
 }
 
-// GaussianClusters is NewGaussianClusters on the scratch: identical center
-// and scatter draws, pooled placement and adjacency.
+// GaussianClusters builds the clustered field NewGaussianClusters
+// describes: all center draws first, then two normal draws per node.
 func (sc *Scratch) GaussianClusters(cfg ClusterConfig, r *rng.Source) (*Field, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -151,7 +154,7 @@ func (sc *Scratch) GaussianClusters(cfg ClusterConfig, r *rng.Source) (*Field, e
 	return sc.buildField(sc.positions, side, side, cfg.Range)
 }
 
-// Corridor is NewCorridor on the scratch.
+// Corridor builds the stretched uniform field NewCorridor describes.
 func (sc *Scratch) Corridor(cfg CorridorConfig, r *rng.Source) (*Field, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -165,7 +168,8 @@ func (sc *Scratch) Corridor(cfg CorridorConfig, r *rng.Source) (*Field, error) {
 	return sc.buildField(sc.positions, w, h, cfg.Range)
 }
 
-// buildField is NewField into the scratch's Field shell.
+// buildField builds the disk graph over positions into the scratch's Field
+// shell; the field keeps positions.
 func (sc *Scratch) buildField(positions []Point, w, h, rangeM float64) (*Field, error) {
 	if len(positions) == 0 {
 		return nil, fmt.Errorf("topo: empty placement")
@@ -178,9 +182,9 @@ func (sc *Scratch) buildField(positions []Point, w, h, rangeM float64) (*Field, 
 	return &sc.field, nil
 }
 
-// ConnectedField is NewConnectedField on the scratch: gen should build into
-// this same scratch, and connectivity is checked with the scratch's BFS
-// buffers.
+// ConnectedField retries gen until it returns a connected field, up to
+// maxTries attempts, checking connectivity on the scratch's BFS buffers. gen
+// may build into this same scratch.
 func (sc *Scratch) ConnectedField(gen func(*rng.Source) (*Field, error), r *rng.Source, maxTries int) (*Field, error) {
 	for try := 0; try < maxTries; try++ {
 		f, err := gen(r)
@@ -201,7 +205,8 @@ func (sc *Scratch) HopDistances(t Topology, src NodeID) []int {
 	return sc.dist
 }
 
-// Connected is the package-level Connected using the scratch's BFS buffers.
+// Connected reports whether every node is reachable from node 0, using the
+// scratch's BFS buffers.
 func (sc *Scratch) Connected(t Topology) bool {
 	if t.N() == 0 {
 		return false

@@ -30,10 +30,10 @@ func sameTopology(t *testing.T, a, b Topology) {
 	}
 }
 
-// TestScratchRandomDiskMatchesFresh: building through a Scratch must perform
-// the same draws and yield the same topology as the unpooled constructor —
-// including on reuse, where the scratch's buffers are dirty from the prior
-// (different-sized) build.
+// TestScratchRandomDiskMatchesFresh: building through a reused Scratch must
+// perform the same draws and yield the same topology as the package-level
+// constructor on a fresh one — the scratch's buffers are dirty from the
+// prior (different-sized) build. TestPinnedTopologies pins the digests.
 func TestScratchRandomDiskMatchesFresh(t *testing.T) {
 	sc := NewScratch()
 	for i, cfg := range []DiskConfig{
@@ -46,11 +46,11 @@ func TestScratchRandomDiskMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fresh build %d: %v", i, err)
 		}
-		pooled, err := sc.ConnectedRandomDisk(cfg, rng.New(seed), 500)
+		reused, err := sc.ConnectedRandomDisk(cfg, rng.New(seed), 500)
 		if err != nil {
-			t.Fatalf("pooled build %d: %v", i, err)
+			t.Fatalf("reused build %d: %v", i, err)
 		}
-		sameTopology(t, fresh, pooled)
+		sameTopology(t, fresh, reused)
 	}
 }
 
@@ -64,11 +64,11 @@ func TestScratchGaussianClustersMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fresh: %v", err)
 		}
-		pooled, err := sc.ConnectedField(scGen, rng.New(seed), 500)
+		reused, err := sc.ConnectedField(scGen, rng.New(seed), 500)
 		if err != nil {
-			t.Fatalf("pooled: %v", err)
+			t.Fatalf("reused: %v", err)
 		}
-		sameTopology(t, fresh, pooled)
+		sameTopology(t, fresh, reused)
 	}
 }
 
@@ -82,15 +82,15 @@ func TestScratchCorridorMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fresh: %v", err)
 		}
-		pooled, err := sc.ConnectedField(scGen, rng.New(seed), 500)
+		reused, err := sc.ConnectedField(scGen, rng.New(seed), 500)
 		if err != nil {
-			t.Fatalf("pooled: %v", err)
+			t.Fatalf("reused: %v", err)
 		}
-		sameTopology(t, fresh, pooled)
+		sameTopology(t, fresh, reused)
 	}
 }
 
-// TestScratchHopDistancesMatchesFresh checks the pooled BFS against the
+// TestScratchHopDistancesMatchesFresh checks the scratch BFS against the
 // allocating one on an irregular graph, twice through the same buffers.
 func TestScratchHopDistancesMatchesFresh(t *testing.T) {
 	cfg := DiskConfig{N: 150, Range: 30, Area: AreaForDensity(150, 30, 10)}
@@ -109,7 +109,7 @@ func TestScratchHopDistancesMatchesFresh(t *testing.T) {
 		}
 	}
 	if !sc.Connected(d) {
-		t.Fatal("pooled Connected reports false on a connected graph")
+		t.Fatal("scratch Connected reports false on a connected graph")
 	}
 }
 

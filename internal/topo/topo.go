@@ -1,7 +1,10 @@
 // Package topo defines the network topologies the paper evaluates on:
 // square-lattice grids (Section 4, analysis) and uniform random placements
 // with a disk radio range (Section 5, ns-2-style simulation), plus the graph
-// utilities (BFS hop distances, connectivity) the experiments need.
+// utilities (BFS hop distances, connectivity) the experiments need. Scratch
+// (scratch.go) is the one implementation of every random-field generator:
+// a sweep worker reuses one for all its points, and each package-level
+// builder such as NewRandomDisk runs on a fresh one.
 package topo
 
 import (
@@ -148,31 +151,10 @@ func (c DiskConfig) Density() float64 {
 }
 
 // NewRandomDisk places nodes uniformly at random in a square of area
-// cfg.Area and connects pairs within cfg.Range.
+// cfg.Area and connects pairs within cfg.Range. It builds on a fresh
+// Scratch, which the returned topology then owns.
 func NewRandomDisk(cfg DiskConfig, r *rng.Source) (*RandomDisk, error) {
-	if cfg.N <= 0 {
-		return nil, fmt.Errorf("topo: node count must be positive, got %d", cfg.N)
-	}
-	if cfg.Range <= 0 || cfg.Area <= 0 {
-		return nil, fmt.Errorf("topo: range and area must be positive, got R=%v A=%v", cfg.Range, cfg.Area)
-	}
-	side := math.Sqrt(cfg.Area)
-	d := &RandomDisk{
-		positions: make([]Point, cfg.N),
-		rangeM:    cfg.Range,
-		side:      side,
-	}
-	for i := range d.positions {
-		d.positions[i] = Point{X: r.Float64() * side, Y: r.Float64() * side}
-	}
-	// Adjacency via the grid-bucket index (shared with Field): each node
-	// scans only the 3x3 cell block around it (O(N·Δ) total) instead of
-	// every other node (O(N²)), and the whole adjacency lives in one
-	// backing array. Lists are sorted ascending, matching the order the
-	// pairwise construction produced, so topologies are bit-identical to
-	// the original builder.
-	d.neighbors, d.index = diskAdjacency(d.positions, side, cfg.Range)
-	return d, nil
+	return NewScratch().RandomDisk(cfg, r)
 }
 
 // Index returns the topology's grid-bucket spatial index, usable for range
@@ -182,19 +164,10 @@ func (d *RandomDisk) Index() *CellIndex { return d.index }
 
 // NewConnectedRandomDisk retries NewRandomDisk until the graph is connected,
 // up to maxTries attempts. The paper's scenarios are implicitly connected
-// (disconnected deployments make reliability metrics meaningless).
+// (disconnected deployments make reliability metrics meaningless). All
+// attempts build on one fresh Scratch, which the returned topology owns.
 func NewConnectedRandomDisk(cfg DiskConfig, r *rng.Source, maxTries int) (*RandomDisk, error) {
-	for try := 0; try < maxTries; try++ {
-		d, err := NewRandomDisk(cfg, r)
-		if err != nil {
-			return nil, err
-		}
-		if Connected(d) {
-			return d, nil
-		}
-	}
-	return nil, fmt.Errorf("topo: no connected placement for N=%d Δ=%.1f after %d tries",
-		cfg.N, cfg.Density(), maxTries)
+	return NewScratch().ConnectedRandomDisk(cfg, r, maxTries)
 }
 
 // N returns the node count.
@@ -257,17 +230,7 @@ func HopDistancesInto(t Topology, src NodeID, dist []int, queue []NodeID) ([]int
 }
 
 // Connected reports whether every node is reachable from node 0.
-func Connected(t Topology) bool {
-	if t.N() == 0 {
-		return false
-	}
-	for _, d := range HopDistances(t, 0) {
-		if d < 0 {
-			return false
-		}
-	}
-	return true
-}
+func Connected(t Topology) bool { return NewScratch().Connected(t) }
 
 // NodesAtHop returns the nodes whose BFS distance from src equals hops.
 func NodesAtHop(t Topology, src NodeID, hops int) []NodeID {
