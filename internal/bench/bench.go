@@ -53,10 +53,13 @@ const FlagshipAllocCeiling = 100
 // FlagshipScenarios lists the scenario IDs held to FlagshipAllocCeiling:
 // the ns-style simulator figures whose hot path the arena layer keeps
 // allocation-free, and adaptive PBBF, whose per-node protocol state is
-// reset in place on pooled nodes; then the ideal-MAC figures and
-// extensions, whose points run on a sweep worker's pooled idealsim.Pool.
+// reset in place on pooled nodes; the churn and battery-depletion
+// extensions, whose dead nodes keep their queues' capacity on a warm pool;
+// then the ideal-MAC figures and extensions, whose points run on a leased
+// pooled idealsim.Pool.
 var FlagshipScenarios = []string{
 	"fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "extadaptive",
+	"extchurn", "extlifetime", "extharvest",
 	"fig4", "fig5", "fig8", "fig9", "fig10", "fig11", "extwakeup", "exttmac",
 }
 

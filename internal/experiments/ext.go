@@ -277,9 +277,9 @@ func extTMACScenario() scenario.Scenario {
 			}
 			return pts, nil
 		},
-		RunPointCtx: func(ctx context.Context, s Scale, pt scenario.Point) (scenario.Result, error) {
+		RunPoint: func(s Scale, pt scenario.Point) (scenario.Result, error) {
 			extend := time.Duration(pt.Params["extend_s"] * float64(time.Second))
-			res, err := runIdealPoint(ctx, s, func(cfg *idealsim.Config) {
+			res, err := runIdealPoint(s, func(cfg *idealsim.Config) {
 				cfg.Params = core.Params{P: pt.Params["p"], Q: pt.Params["q"]}
 				cfg.ExtendOnReceive = extend
 				cfg.Seed = pointSeed(s.Seed, 107, fbits(pt.X), uint64(extend))

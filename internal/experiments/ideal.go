@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -76,8 +75,8 @@ func idealQSweep(id, artifact, title, summary, ylabel string, tag uint64,
 		Points: func(s Scale) ([]scenario.Point, error) {
 			return protocolQPoints(idealProtocols(s), s.QSweep), nil
 		},
-		RunPointCtx: func(ctx context.Context, s Scale, pt scenario.Point) (scenario.Result, error) {
-			res, err := runIdealPoint(ctx, s, func(cfg *idealsim.Config) {
+		RunPoint: func(s Scale, pt scenario.Point) (scenario.Result, error) {
+			res, err := runIdealPoint(s, func(cfg *idealsim.Config) {
 				cfg.Params = core.Params{P: pt.Params["p"], Q: pt.Params["q"]}
 				cfg.TrackHopDistances = track(s)
 				cfg.Seed = pointSeed(s.Seed, tag, fbits(cfg.Params.P), fbits(pt.X))
@@ -100,10 +99,10 @@ func idealQSweep(id, artifact, title, summary, ylabel string, tag uint64,
 	}
 }
 
-// runIdealPoint runs one ideal-MAC point on the worker's pooled simulator:
+// runIdealPoint runs one ideal-MAC point on a leased pooled simulator:
 // the scale's grid with the source at its center, Table 1 defaults with
 // the scale's update count, then the point's overrides from tune.
-func runIdealPoint(ctx context.Context, s Scale, tune func(*idealsim.Config)) (*idealsim.Result, error) {
+func runIdealPoint(s Scale, tune func(*idealsim.Config)) (*idealsim.Result, error) {
 	g, err := topo.NewGrid(s.GridW, s.GridH)
 	if err != nil {
 		return nil, err
@@ -111,8 +110,8 @@ func runIdealPoint(ctx context.Context, s Scale, tune func(*idealsim.Config)) (*
 	cfg := idealsim.Defaults(g, g.Center())
 	cfg.Updates = s.IdealUpdates
 	tune(&cfg)
-	pools, release := poolsFor(ctx)
-	defer release()
+	pools := acquirePools()
+	defer releasePools(pools)
 	return pools.ideal.Run(cfg)
 }
 

@@ -81,13 +81,13 @@ type netOpts struct {
 // fieldBuilder draws one deployment for a run. delta is the target density
 // Δ; the builder must keep retrying until the placement is connected (or
 // fail), mirroring NewConnectedRandomDisk. Builders construct through the
-// worker's topology scratch sc, so the topology is valid only until the
+// point's leased topology scratch sc, so the topology is valid only until the
 // scratch's next build — runNetPoint consumes it before the next run draws.
 type fieldBuilder func(s Scale, delta float64, r *rng.Source, sc *topo.Scratch) (topo.Topology, error)
 
-// runNetPoint aggregates NetRuns simulations for one data point on the
-// worker's pooled simulation state (ctx carries the pool cache; results are
-// identical with or without it).
+// runNetPoint aggregates NetRuns simulations for one data point on a pool
+// bundle leased for the point. ctx carries only an optional trace provider;
+// results are identical with or without it.
 func runNetPoint(ctx context.Context, s Scale, params core.Params, delta float64, tag uint64, opts netOpts) (*netPoint, error) {
 	if opts.k == 0 {
 		opts.k = 1
@@ -107,8 +107,8 @@ func runNetPoint(ctx context.Context, s Scale, params core.Params, delta float64
 	if !energyOpts.Enabled() && s.EnergyJ > 0 {
 		energyOpts = netsim.EnergyOptions{InitialJ: s.EnergyJ, HarvestW: s.HarvestW}
 	}
-	pools, release := poolsFor(ctx)
-	defer release()
+	pools := acquirePools()
+	defer releasePools(pools)
 	// A context-carried trace provider hands out one sink per run — the
 	// `pbbf trace` subcommand and the bench overhead gate. No provider
 	// (every sweep/serve path) leaves every MAC.Trace nil.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"time"
 
 	"pbbf/internal/core"
@@ -55,9 +54,9 @@ func extWakeupScenario() scenario.Scenario {
 			}
 			return pts, nil
 		},
-		RunPointCtx: func(ctx context.Context, s Scale, pt scenario.Point) (scenario.Result, error) {
+		RunPoint: func(s Scale, pt scenario.Point) (scenario.Result, error) {
 			duty := pt.Params["duty"]
-			res, err := runIdealPoint(ctx, s, func(cfg *idealsim.Config) {
+			res, err := runIdealPoint(s, func(cfg *idealsim.Config) {
 				active := time.Second
 				cfg.Params = core.Params{P: pt.Params["p"], Q: pt.Params["q"]}
 				cfg.Timing = core.Timing{

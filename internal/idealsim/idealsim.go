@@ -191,11 +191,12 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // Pool owns the per-run state of the ideal simulator so that a sequence of
-// runs — a sweep worker's points — reuses it instead of reallocating it.
+// runs — the points that lease it in turn — reuses it instead of
+// reallocating it.
 // Buffers grow to the largest topology seen and are reset per run; a pool
 // keeps no reference to a finished run's topology or Result. A Pool is not
-// safe for concurrent use; give each worker its own. The zero value is
-// ready to use.
+// safe for concurrent use; lease it to one point at a time. The zero value
+// is ready to use.
 type Pool struct {
 	cfg    Config
 	kernel sim.Kernel

@@ -18,11 +18,30 @@ import (
 // beacon schedule — on the same pooled state must not allocate at all. The
 // frame tick and ATIM-window closures are bound once outside the measured
 // loop, exactly as netsim.RunPool binds them, so anything this test counts
-// is an allocation a pooled simulation would pay per run.
+// is an allocation a pooled simulation would pay per run. The "deaths"
+// input kills most of the fleet late in every run, as churn and battery
+// depletion do: a dead node must keep its queues' capacity for the next
+// run on the pool.
 func TestFleetSteadyStateZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector instrumentation allocates")
 	}
+	for _, tc := range []struct {
+		name   string
+		deaths bool
+	}{{"clean", false}, {"deaths", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if allocs := steadyStateRunAllocs(t, tc.deaths); allocs > 0 {
+				t.Fatalf("steady-state MAC run allocated %v times, want 0", allocs)
+			}
+		})
+	}
+}
+
+// steadyStateRunAllocs measures the allocations of one warm pooled MAC run
+// on a 4x4 grid; with deaths, every node but the source is killed at 4.9 s,
+// after the broadcast has spread and filled their queues.
+func steadyStateRunAllocs(t *testing.T, deaths bool) float64 {
 	g := topo.MustGrid(4, 4)
 	cfg := DefaultConfig(core.Params{P: 0.5, Q: 0.5})
 	kernel := sim.NewKernel()
@@ -43,6 +62,11 @@ func TestFleetSteadyStateZeroAlloc(t *testing.T) {
 		kernel.Schedule(cfg.Timing.Active, endWindow)
 		kernel.Schedule(cfg.Timing.Frame, tick)
 	}
+	killAll := func() {
+		for _, n := range fleet.Nodes()[1:] {
+			n.Kill()
+		}
+	}
 	var seq uint64
 	runOnce := func() {
 		kernel.Reset()
@@ -57,13 +81,14 @@ func TestFleetSteadyStateZeroAlloc(t *testing.T) {
 		seq++
 		fleet.Node(0).Broadcast(Packet{Key: core.PacketKey{Origin: 0, Seq: seq}})
 		kernel.ScheduleAt(0, tick)
+		if deaths {
+			kernel.ScheduleAt(4900*time.Millisecond, killAll)
+		}
 		if err := kernel.Run(5 * time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
 	runOnce() // warm the slabs, queues, and per-node buffers
 	runOnce() // settle any second-run growth (e.g. heap doubling)
-	if allocs := testing.AllocsPerRun(5, runOnce); allocs > 0 {
-		t.Fatalf("steady-state MAC run allocated %v times, want 0", allocs)
-	}
+	return testing.AllocsPerRun(5, runOnce)
 }

@@ -69,11 +69,12 @@ type Config struct {
 	CWSlots int
 	// Profile is the radio power model.
 	Profile energy.Profile
-	// Energy, when enabled, bounds the node's battery: InitialJ joules at
-	// t=0, drained by Profile's draw, optionally harvested back, and
-	// fail-stop death on depletion. The zero value is the paper's
-	// infinite battery.
-	Energy EnergyOptions
+	// Energy, when finite, bounds the node's battery: CapacityJ joules at
+	// t=0, drained by Profile's draw, optionally harvested back (clamped at
+	// capacity), and fail-stop death on depletion, which the MAC polls at
+	// beacon starts, ATIM window ends, and transmission completions. The
+	// zero value is the paper's infinite battery and changes nothing.
+	Energy energy.Budget
 	// Protocol selects the broadcast protocol the node's decisions
 	// dispatch through (internal/protocol). The zero value is PBBF — the
 	// paper's protocol, byte-identical to the pre-interface MAC.
@@ -127,7 +128,7 @@ func (c Config) Validate() error {
 			c.ATIMAirtime(), c.Timing.Active)
 	}
 	if err := c.Energy.Validate(); err != nil {
-		return err
+		return fmt.Errorf("mac: %w", err)
 	}
 	return c.Protocol.Validate()
 }
@@ -300,8 +301,8 @@ func (n *Node) init(id topo.NodeID, cfg Config, kernel *sim.Kernel, channel *phy
 	n.diedAt = 0
 	n.mustStay = false
 	n.atimOK = false
-	bank.SetBudget(slot, cfg.Energy.Budget())
-	n.pendingNormal = n.pendingNormal[:0] // nil-safe; Kill may have dropped it
+	bank.SetBudget(slot, cfg.Energy)
+	n.pendingNormal = n.pendingNormal[:0]
 	n.announced = n.announced[:0]
 	n.txQueue = n.txQueue[:0]
 	n.txBusy = false
@@ -373,9 +374,12 @@ func (n *Node) kill(depleted bool) {
 		n.setState(energy.Sleep, n.kernel.Now())
 	} // else txDone drops the meter to sleep when the frame leaves the air
 	n.mustStay = false
-	n.pendingNormal = nil
-	n.announced = nil
-	n.txQueue = nil
+	// Truncate rather than drop the queues: every entry point of a dead
+	// node returns early, so nothing appends to them again this run, and
+	// the next run on a pooled fleet reuses their capacity.
+	n.pendingNormal = n.pendingNormal[:0]
+	n.announced = n.announced[:0]
+	n.txQueue = n.txQueue[:0]
 	n.txBusy = false
 }
 

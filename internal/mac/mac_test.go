@@ -113,8 +113,8 @@ func TestConfigValidation(t *testing.T) {
 			c.Protocol = protocol.Spec{Name: protocol.NameOLA, Adaptive: &protocol.AdaptiveConfig{}}
 		},
 		// Bad battery budgets.
-		func(c *Config) { c.Energy = EnergyOptions{InitialJ: -1} },
-		func(c *Config) { c.Energy = EnergyOptions{HarvestW: 0.01} },
+		func(c *Config) { c.Energy = energy.Budget{CapacityJ: -1} },
+		func(c *Config) { c.Energy = energy.Budget{HarvestW: 0.01} },
 	}
 	for i, mutate := range mutations {
 		cfg := DefaultConfig(core.PSM())

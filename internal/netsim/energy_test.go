@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -49,6 +50,8 @@ func TestEnergyOptionsValidate(t *testing.T) {
 		{"jitter at 1", EnergyOptions{InitialJ: 1, JitterFrac: 1}, false},
 		{"negative harvest", EnergyOptions{InitialJ: 1, HarvestW: -0.01}, false},
 		{"harvest without battery", EnergyOptions{HarvestW: 0.01}, false},
+		{"NaN initial", EnergyOptions{InitialJ: math.NaN()}, false},
+		{"NaN jitter", EnergyOptions{InitialJ: 1, JitterFrac: math.NaN()}, false},
 	}
 	for _, tc := range cases {
 		cfg := energyTestConfig(t, tc.e)

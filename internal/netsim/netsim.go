@@ -8,14 +8,16 @@
 // equivalent substrate built on internal/sim + internal/phy + internal/mac
 // (see README.md for the architecture and docs/EXPERIMENTS.md for the
 // figures it backs). RunPool (pool.go) is the one implementation of the
-// simulator: a sweep worker keeps one pool for all its points, and Run is a
-// run on a fresh pool.
+// simulator: each experiment point leases a warm pool from a process-wide
+// free list for the point's runs and returns it when the point ends, and
+// Run is a run on a fresh pool.
 package netsim
 
 import (
 	"fmt"
 	"time"
 
+	"pbbf/internal/energy"
 	"pbbf/internal/mac"
 	"pbbf/internal/rng"
 	"pbbf/internal/stats"
@@ -61,33 +63,28 @@ type EnergyOptions struct {
 // Enabled reports whether batteries are finite.
 func (e EnergyOptions) Enabled() bool { return e.InitialJ > 0 }
 
-// Validate checks the options.
+// Validate checks the options: capacity and harvest as a battery budget,
+// then the jitter this package adds.
 func (e EnergyOptions) Validate() error {
-	if e.InitialJ < 0 {
-		return fmt.Errorf("netsim: initial energy %v must be non-negative", e.InitialJ)
+	if err := (energy.Budget{CapacityJ: e.InitialJ, HarvestW: e.HarvestW}).Validate(); err != nil {
+		return fmt.Errorf("netsim: %w", err)
 	}
-	if e.JitterFrac < 0 || e.JitterFrac >= 1 {
+	if !(e.JitterFrac >= 0 && e.JitterFrac < 1) { // also rejects NaN
 		return fmt.Errorf("netsim: energy jitter %v outside [0,1)", e.JitterFrac)
 	}
 	if e.JitterFrac > 0 && e.InitialJ == 0 {
 		return fmt.Errorf("netsim: energy jitter %v requires a positive initial energy", e.JitterFrac)
 	}
-	if e.HarvestW < 0 {
-		return fmt.Errorf("netsim: harvest rate %v must be non-negative", e.HarvestW)
-	}
-	if e.HarvestW > 0 && e.InitialJ == 0 {
-		return fmt.Errorf("netsim: harvest rate %v requires a positive initial energy", e.HarvestW)
-	}
 	return nil
 }
 
-// Sample draws one node's battery options, consuming one draw from r only
+// Sample draws one node's battery budget, consuming one draw from r only
 // when jitter is configured (the hetero sampler pattern), so homogeneous
 // fleets keep deterministic per-node streams.
-func (e EnergyOptions) Sample(r *rng.Source) mac.EnergyOptions {
-	out := mac.EnergyOptions{InitialJ: e.InitialJ, HarvestW: e.HarvestW}
+func (e EnergyOptions) Sample(r *rng.Source) energy.Budget {
+	out := energy.Budget{CapacityJ: e.InitialJ, HarvestW: e.HarvestW}
 	if e.JitterFrac > 0 {
-		out.InitialJ = e.InitialJ * (1 + (2*r.Float64()-1)*e.JitterFrac)
+		out.CapacityJ = e.InitialJ * (1 + (2*r.Float64()-1)*e.JitterFrac)
 	}
 	return out
 }
@@ -164,7 +161,7 @@ func (c Config) Validate() error {
 	if err := c.Energy.Validate(); err != nil {
 		return err
 	}
-	if c.Energy != (EnergyOptions{}) && c.MAC.Energy != (mac.EnergyOptions{}) {
+	if c.Energy != (EnergyOptions{}) && c.MAC.Energy != (energy.Budget{}) {
 		// Energy folds per node (jitter draws a budget for each); a
 		// hand-set MAC budget would be silently overwritten.
 		return fmt.Errorf("netsim: Energy conflicts with MAC.Energy; set one")

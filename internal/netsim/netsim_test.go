@@ -47,7 +47,7 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.K = 0 },
 		func(c *Config) { // a hand-set MAC budget conflicts with Energy
 			c.Energy.InitialJ = 1
-			c.MAC.Energy.InitialJ = 1
+			c.MAC.Energy.CapacityJ = 1
 		},
 	}
 	for i, mutate := range mutations {

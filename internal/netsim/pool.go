@@ -17,13 +17,14 @@ import (
 // event kernel, the channel, a node fleet with its struct-of-arrays energy
 // bank, per-node trackers, the code-distribution source, the link-loss
 // table, the churn and BFS scratch buffers, and all the run-level callbacks
-// — bound once and rescheduled forever. A sweep worker that runs thousands
-// of points through one pool performs its steady-state simulation work
-// with (near) zero allocation; the package-level Run uses a fresh pool.
+// — bound once and rescheduled forever. Points that lease the same pool in
+// turn (the experiments free list hands it to one point at a time) perform
+// their steady-state simulation work with (near) zero allocation; the
+// package-level Run uses a fresh pool.
 //
 // Determinism: a run's result depends only on its Config, never on what
-// the pool ran before. A RunPool is not safe for concurrent use; give each
-// worker its own.
+// the pool ran before. A RunPool is not safe for concurrent use; lease it
+// to one point at a time.
 type RunPool struct {
 	kernel   *sim.Kernel
 	channel  *phy.Channel

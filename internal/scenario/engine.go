@@ -152,7 +152,7 @@ func RunAllCtx(ctx context.Context, scenarios []Scenario, s Scale, opts RunOptio
 		table *stats.Table // TableFn jobs
 		res   Result       // point jobs
 	}
-	results, err := sweep.MapCtx(ctx, len(jobs), opts.Workers, func(wctx context.Context, i int) (jobOut, error) {
+	results, err := sweep.MapCtx(ctx, len(jobs), opts.Workers, func(ctx context.Context, i int) (jobOut, error) {
 		j := jobs[i]
 		sc := scenarios[j.si]
 		if j.pi < 0 {
@@ -164,10 +164,7 @@ func RunAllCtx(ctx context.Context, scenarios []Scenario, s Scale, opts RunOptio
 			return jobOut{table: tbl}, nil
 		}
 		pt := points[j.si][j.pi]
-		// wctx carries the worker's pool cache (sweep.Locals), letting
-		// context-aware scenarios reuse simulation state across the points
-		// this worker claims.
-		compute := func() (Result, error) { return sc.ComputePoint(wctx, s, pt) }
+		compute := func() (Result, error) { return sc.ComputePoint(ctx, s, pt) }
 		var (
 			res      Result
 			recorded bool

@@ -180,21 +180,6 @@ var presets = [...]struct {
 	{"large", Large},
 }
 
-// Presets returns every named scale preset, built, in documentation order.
-func Presets() []struct {
-	Name  string
-	Scale Scale
-} {
-	out := make([]struct {
-		Name  string
-		Scale Scale
-	}, len(presets))
-	for i, p := range presets {
-		out[i].Name, out[i].Scale = p.name, p.build()
-	}
-	return out
-}
-
 // ScaleNames returns the preset names the CLI accepts, in documentation
 // order.
 func ScaleNames() []string {

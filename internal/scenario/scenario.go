@@ -111,11 +111,10 @@ type Scenario struct {
 	// RunPoint simulates one point. It must derive all randomness from
 	// Scale.Seed (via PointSeed) so points are order-independent.
 	RunPoint func(Scale, Point) (Result, error) `json:"-"`
-	// RunPointCtx is RunPoint for scenarios that want the worker context —
-	// in particular sweep.Locals, where the engine's workers cache
-	// simulation pools across the points they claim. Set exactly one of
-	// RunPoint and RunPointCtx; the context never changes the result, only
-	// how much the computation allocates.
+	// RunPointCtx is RunPoint for scenarios that read the run's context —
+	// the netsim scenarios, which take their per-run trace sink from a
+	// trace.Provider the `pbbf trace` path puts there. Set exactly one of
+	// RunPoint and RunPointCtx; the context never changes the result.
 	RunPointCtx func(context.Context, Scale, Point) (Result, error) `json:"-"`
 	// TableFn produces the whole table directly (static/analytic artifacts).
 	TableFn func(Scale) (*stats.Table, error) `json:"-"`
@@ -167,8 +166,8 @@ func (sc Scenario) PointBased() bool {
 }
 
 // ComputePoint simulates one parameter point through whichever entry point
-// the scenario defines. ctx only carries execution environment (the sweep
-// worker's pool cache); it cannot change the computed result.
+// the scenario defines. ctx only carries execution environment (an
+// optional trace provider); it cannot change the computed result.
 func (sc Scenario) ComputePoint(ctx context.Context, s Scale, pt Point) (Result, error) {
 	if sc.RunPointCtx != nil {
 		return sc.RunPointCtx(ctx, s, pt)

@@ -238,16 +238,23 @@ func TestKnobsResolve(t *testing.T) {
 }
 
 func TestScalePresets(t *testing.T) {
-	for _, p := range Presets() {
-		if err := p.Scale.Validate(); err != nil {
-			t.Fatalf("%s: %v", p.Name, err)
-		}
-		got, err := ByName(p.Name)
+	for _, name := range ScaleNames() {
+		s, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, p.Scale) {
-			t.Fatalf("ByName(%q) mismatch", p.Name)
+		if err := s.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		// Every lookup builds a fresh preset: a caller editing its sweep
+		// slices must not change the next lookup's.
+		s.QSweep[0] = -1
+		again, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.QSweep[0] == -1 {
+			t.Fatalf("ByName(%q) shares its sweep slices between calls", name)
 		}
 	}
 	if _, err := ByName("huge"); err == nil {

@@ -12,25 +12,16 @@ import (
 	"sync"
 )
 
-// Map evaluates fn(0..n-1) across at most workers goroutines and returns
-// the results in index order. If any invocation fails, Map still waits for
-// all in-flight work and returns the error from the smallest failing index
-// (deterministic error reporting). workers <= 0 selects GOMAXPROCS.
-func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	if fn == nil {
-		return nil, fmt.Errorf("sweep: nil point function")
-	}
-	return MapCtx(context.Background(), n, workers, func(_ context.Context, i int) (T, error) {
-		return fn(i)
-	})
-}
-
-// MapCtx is Map with cancellation: when ctx is done, workers stop claiming
-// new indices, in-flight invocations are drained, and the context's error
-// is returned. Cancellation takes precedence over point errors, so a
-// cancelled run reports why it stopped rather than whichever point happened
-// to fail while the pool wound down. fn receives ctx so long-running points
-// can observe cancellation themselves.
+// MapCtx evaluates fn(ctx, 0..n-1) across at most workers goroutines and
+// returns the results in index order. If any invocation fails, MapCtx still
+// waits for all in-flight work and returns the error from the smallest
+// failing index (deterministic error reporting). workers <= 0 selects
+// GOMAXPROCS. When ctx is done, workers stop claiming new indices,
+// in-flight invocations are drained, and the context's error is returned.
+// Cancellation takes precedence over point errors, so a cancelled run
+// reports why it stopped rather than whichever point happened to fail while
+// the pool wound down. fn receives ctx so long-running points can observe
+// cancellation themselves.
 func MapCtx[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("sweep: nil context")
@@ -75,18 +66,12 @@ func MapCtx[T any](ctx context.Context, n, workers int, fn func(ctx context.Cont
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker carries its own WorkerLocals so point functions
-			// can cache expensive reusable state (simulation pools) for the
-			// points this goroutine claims; cleanups run at worker exit.
-			locals := &WorkerLocals{}
-			defer locals.finish()
-			wctx := context.WithValue(ctx, localsCtxKey{}, locals)
 			for {
 				i, ok := claim()
 				if !ok {
 					return
 				}
-				results[i], errs[i] = fn(wctx, i)
+				results[i], errs[i] = fn(ctx, i)
 			}
 		}()
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestMapOrdering(t *testing.T) {
-	got, err := Map(100, 8, func(i int) (int, error) { return i * i, nil })
+	got, err := MapCtx(context.Background(), 100, 8, func(_ context.Context, i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestMapOrdering(t *testing.T) {
 }
 
 func TestMapZeroPoints(t *testing.T) {
-	got, err := Map(0, 4, func(int) (int, error) { return 0, nil })
+	got, err := MapCtx(context.Background(), 0, 4, func(context.Context, int) (int, error) { return 0, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,19 +31,19 @@ func TestMapZeroPoints(t *testing.T) {
 }
 
 func TestMapNegativeN(t *testing.T) {
-	if _, err := Map(-1, 4, func(int) (int, error) { return 0, nil }); err == nil {
+	if _, err := MapCtx(context.Background(), -1, 4, func(context.Context, int) (int, error) { return 0, nil }); err == nil {
 		t.Fatal("negative n accepted")
 	}
 }
 
 func TestMapNilFn(t *testing.T) {
-	if _, err := Map[int](5, 4, nil); err == nil {
+	if _, err := MapCtx[int](context.Background(), 5, 4, nil); err == nil {
 		t.Fatal("nil fn accepted")
 	}
 }
 
 func TestMapDefaultWorkers(t *testing.T) {
-	got, err := Map(10, 0, func(i int) (int, error) { return i, nil })
+	got, err := MapCtx(context.Background(), 10, 0, func(_ context.Context, i int) (int, error) { return i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestMapDefaultWorkers(t *testing.T) {
 func TestMapFirstErrorWins(t *testing.T) {
 	errA := errors.New("a")
 	errB := errors.New("b")
-	_, err := Map(10, 4, func(i int) (int, error) {
+	_, err := MapCtx(context.Background(), 10, 4, func(_ context.Context, i int) (int, error) {
 		switch i {
 		case 3:
 			return 0, errA
@@ -72,7 +72,7 @@ func TestMapFirstErrorWins(t *testing.T) {
 
 func TestMapRunsEveryPointOnce(t *testing.T) {
 	var counts [64]int32
-	_, err := Map(len(counts), 8, func(i int) (struct{}, error) {
+	_, err := MapCtx(context.Background(), len(counts), 8, func(_ context.Context, i int) (struct{}, error) {
 		atomic.AddInt32(&counts[i], 1)
 		return struct{}{}, nil
 	})
@@ -89,7 +89,7 @@ func TestMapRunsEveryPointOnce(t *testing.T) {
 func TestMapBoundedConcurrency(t *testing.T) {
 	const workers = 3
 	var active, peak int32
-	_, err := Map(50, workers, func(i int) (int, error) {
+	_, err := MapCtx(context.Background(), 50, workers, func(_ context.Context, i int) (int, error) {
 		cur := atomic.AddInt32(&active, 1)
 		for {
 			old := atomic.LoadInt32(&peak)
@@ -170,7 +170,7 @@ func TestPropertyMatchesSequential(t *testing.T) {
 	check := func(rawN, rawW uint8) bool {
 		n := int(rawN) % 50
 		w := int(rawW)%8 + 1
-		got, err := Map(n, w, func(i int) (int, error) { return 3*i + 1, nil })
+		got, err := MapCtx(context.Background(), n, w, func(_ context.Context, i int) (int, error) { return 3*i + 1, nil })
 		if err != nil {
 			return false
 		}

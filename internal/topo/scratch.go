@@ -10,7 +10,7 @@
 //
 // A Scratch holds ONE topology at a time: any build or BFS query invalidates
 // the previously returned topology and distance slice. Scratches are not
-// safe for concurrent use; give each worker its own.
+// safe for concurrent use; lease each to one point at a time.
 
 package topo
 

@@ -3,7 +3,7 @@
 // with a disk radio range (Section 5, ns-2-style simulation), plus the graph
 // utilities (BFS hop distances, connectivity) the experiments need. Scratch
 // (scratch.go) is the one implementation of every random-field generator:
-// a sweep worker reuses one for all its points, and each package-level
+// each experiment point runs on a leased, reused one, and each package-level
 // builder such as NewRandomDisk runs on a fresh one.
 package topo
 

@@ -1,6 +1,6 @@
 // Package trace is the simulator's event-level observability spine: a
 // compact event record, a Sink interface the netsim/mac/phy hot path
-// writes through, and in-memory sinks (slab, ring, discard) for the
+// writes through, and in-memory sinks (slab, discard) for the
 // consumers — the `pbbf trace` subcommand, protocol-behavior regression
 // tests, and the bench overhead gate.
 //
@@ -172,47 +172,6 @@ type Slab struct {
 
 // Record implements Sink.
 func (s *Slab) Record(ev Event) { s.Events = append(s.Events, ev) }
-
-// Ring is a fixed-capacity sink keeping the most recent events — a
-// flight recorder for long runs where only the tail matters.
-type Ring struct {
-	buf   []Event
-	next  int
-	total int
-}
-
-// NewRing returns a ring holding at most n events; n must be positive.
-func NewRing(n int) *Ring {
-	if n <= 0 {
-		n = 1
-	}
-	return &Ring{buf: make([]Event, 0, n)}
-}
-
-// Record implements Sink.
-func (r *Ring) Record(ev Event) {
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, ev)
-	} else {
-		r.buf[r.next] = ev
-	}
-	r.next = (r.next + 1) % cap(r.buf)
-	r.total++
-}
-
-// Total returns how many events were recorded, including evicted ones.
-func (r *Ring) Total() int { return r.total }
-
-// Events returns the retained events in recording order.
-func (r *Ring) Events() []Event {
-	if len(r.buf) < cap(r.buf) || r.next == 0 {
-		return r.buf
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
 
 // discard is the counting no-op sink behind Discard.
 type discard struct{}

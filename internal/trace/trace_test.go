@@ -59,32 +59,6 @@ func TestSlabAndDiscard(t *testing.T) {
 	Discard.Record(Event{Kind: KindSleep}) // must not panic or retain
 }
 
-func TestRingKeepsTail(t *testing.T) {
-	r := NewRing(4)
-	for i := 0; i < 10; i++ {
-		r.Record(Event{T: time.Duration(i), Kind: KindWake})
-	}
-	if r.Total() != 10 {
-		t.Fatalf("ring total %d, want 10", r.Total())
-	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("ring retained %d, want 4", len(evs))
-	}
-	for i, ev := range evs {
-		if want := time.Duration(6 + i); ev.T != want {
-			t.Fatalf("ring[%d].T = %v, want %v", i, ev.T, want)
-		}
-	}
-	// Partially filled ring returns what it has, in order.
-	r2 := NewRing(8)
-	r2.Record(Event{T: 1})
-	r2.Record(Event{T: 2})
-	if evs := r2.Events(); len(evs) != 2 || evs[0].T != 1 || evs[1].T != 2 {
-		t.Fatalf("partial ring events = %+v", evs)
-	}
-}
-
 func TestAppendNDJSON(t *testing.T) {
 	line := string(AppendNDJSON(nil, 2, Event{
 		T: 1500000000, Kind: KindRxData, Node: 3, Peer: 7, Origin: 0, Seq: 0,
