@@ -260,8 +260,8 @@ func runBench(args []string, out io.Writer) error {
 			return nil
 		}
 		for _, r := range over {
-			fmt.Fprintf(out, "TRACE OVERHEAD %-12s %d -> %d ns/pt (%.2fx)\n",
-				r.ID, r.UntracedNSPerPoint, r.TracedNSPerPoint, r.Ratio)
+			fmt.Fprintf(out, "TRACE OVERHEAD %-12s %d -> %d CPU ns/pt (%.2fx)\n",
+				r.ID, r.UntracedCPUNSPerPoint, r.TracedCPUNSPerPoint, r.Ratio)
 		}
 		return fmt.Errorf("%d scenario(s) exceed the %.0f%% tracing-overhead gate", len(over), *overhead*100)
 	}

@@ -286,7 +286,7 @@ func TestBenchOverheadGate(t *testing.T) {
 		t.Fatalf("overhead report header: %+v", rep)
 	}
 	for _, r := range rep.Results {
-		if r.UntracedNSPerPoint <= 0 || r.TracedNSPerPoint <= 0 || r.Points <= 0 {
+		if r.UntracedCPUNSPerPoint <= 0 || r.TracedCPUNSPerPoint <= 0 || r.Points <= 0 {
 			t.Fatalf("unmeasured scenario: %+v", r)
 		}
 	}

@@ -229,14 +229,16 @@ type OverheadResult struct {
 	ID string `json:"id"`
 	// Points is the number of parameter points per run.
 	Points int `json:"points"`
-	// UntracedNSPerPoint and TracedNSPerPoint are each arm's fastest
-	// repeat.
-	UntracedNSPerPoint int64 `json:"untraced_ns_per_point"`
-	TracedNSPerPoint   int64 `json:"traced_ns_per_point"`
+	// UntracedCPUNSPerPoint and TracedCPUNSPerPoint are each arm's
+	// fastest repeat in process CPU time (user plus system), per point.
+	// CPU time, unlike wall time, does not grow when the machine takes
+	// the processor away mid-run.
+	UntracedCPUNSPerPoint int64 `json:"untraced_cpu_ns_per_point"`
+	TracedCPUNSPerPoint   int64 `json:"traced_cpu_ns_per_point"`
 	// Ratio is Traced/Untraced (1.10 = full instrumentation costs 10%).
 	Ratio float64 `json:"ratio"`
-	// Gated is false when the untraced arm sits under NoiseFloorNS —
-	// recorded for the report, excluded from the gate.
+	// Gated is false when the untraced arm's CPU time sits under
+	// NoiseFloorNS — recorded for the report, excluded from the gate.
 	Gated bool `json:"gated"`
 }
 
@@ -262,10 +264,11 @@ func (r *OverheadReport) WriteFile(path string) error {
 // RunOverhead measures the cost of full event instrumentation: each
 // scenario runs Repeats untraced/traced pairs — the traced arm records
 // every event into trace.Discard — alternating within this one process,
-// and each arm keeps its fastest repeat. Pairing the arms back to back
-// cancels the machine drift (thermal state, background load, build
-// cache) that makes two separate bench invocations incomparable, so the
-// ratio can be gated far inside the cross-invocation noise floor.
+// and each arm keeps its fastest repeat in process CPU time. Pairing the
+// arms back to back cancels the machine drift (thermal state, background
+// load, build cache) that makes two separate bench invocations
+// incomparable, so the ratio can be gated far inside the cross-invocation
+// noise floor.
 // Config.TraceProvider is ignored; the arms define their own.
 func RunOverhead(scenarios []scenario.Scenario, cfg Config) (*OverheadReport, error) {
 	if cfg.Workers == 0 {
@@ -306,24 +309,24 @@ func RunOverhead(scenarios []scenario.Scenario, cfg Config) (*OverheadReport, er
 			}
 			if try == 0 {
 				res = OverheadResult{ID: sc.ID, Points: p.points,
-					UntracedNSPerPoint: p.wallNS, TracedNSPerPoint: t.wallNS}
+					UntracedCPUNSPerPoint: p.cpuNS, TracedCPUNSPerPoint: t.cpuNS}
 			} else {
-				res.UntracedNSPerPoint = min(res.UntracedNSPerPoint, p.wallNS)
-				res.TracedNSPerPoint = min(res.TracedNSPerPoint, t.wallNS)
+				res.UntracedCPUNSPerPoint = min(res.UntracedCPUNSPerPoint, p.cpuNS)
+				res.TracedCPUNSPerPoint = min(res.TracedCPUNSPerPoint, t.cpuNS)
 			}
 		}
-		// The fields hold total wall until here; the noise floor is a
-		// wall-time bound, same as Compare's.
-		res.Gated = res.UntracedNSPerPoint >= NoiseFloorNS
-		res.UntracedNSPerPoint /= int64(res.Points)
-		res.TracedNSPerPoint /= int64(res.Points)
-		if res.UntracedNSPerPoint > 0 {
-			res.Ratio = float64(res.TracedNSPerPoint) / float64(res.UntracedNSPerPoint)
+		// The fields hold total CPU time until here; the noise floor
+		// applies to the total, as Compare's does to wall time.
+		res.Gated = res.UntracedCPUNSPerPoint >= NoiseFloorNS
+		res.UntracedCPUNSPerPoint /= int64(res.Points)
+		res.TracedCPUNSPerPoint /= int64(res.Points)
+		if res.UntracedCPUNSPerPoint > 0 {
+			res.Ratio = float64(res.TracedCPUNSPerPoint) / float64(res.UntracedCPUNSPerPoint)
 		}
 		rep.Results = append(rep.Results, res)
 		if cfg.Progress != nil {
-			fmt.Fprintf(cfg.Progress, "%-12s %12d ns/pt untraced %12d ns/pt traced %6.2fx\n",
-				res.ID, res.UntracedNSPerPoint, res.TracedNSPerPoint, res.Ratio)
+			fmt.Fprintf(cfg.Progress, "%-12s %12d CPU ns/pt untraced %12d CPU ns/pt traced %6.2fx\n",
+				res.ID, res.UntracedCPUNSPerPoint, res.TracedCPUNSPerPoint, res.Ratio)
 		}
 	}
 	return rep, nil
@@ -332,7 +335,8 @@ func RunOverhead(scenarios []scenario.Scenario, cfg Config) (*OverheadReport, er
 // measurement is one measured run of one scenario.
 type measurement struct {
 	wallNS     int64
-	points     int // 1 for table scenarios
+	cpuNS      int64 // process CPU time, user plus system
+	points     int   // 1 for table scenarios
 	allocs     uint64
 	allocBytes uint64
 	fired      uint64
@@ -358,15 +362,16 @@ func measure(ctx context.Context, sc scenario.Scenario, cfg Config, warm bool) (
 	runtime.GC() // attribute floating garbage to this measurement
 	runtime.ReadMemStats(&ms0)
 	fired0 := sim.TotalFired()
-	start := time.Now()
+	cpu0, start := processCPU(), time.Now()
 	outs, err := run()
-	wall := time.Since(start)
+	wall, cpu := time.Since(start), processCPU()-cpu0
 	if err != nil {
 		return measurement{}, err
 	}
 	runtime.ReadMemStats(&ms1)
 	return measurement{
 		wallNS:     wall.Nanoseconds(),
+		cpuNS:      cpu.Nanoseconds(),
 		points:     max(len(outs[0].Points), 1), // TableFn scenarios: one unit of work
 		allocs:     ms1.Mallocs - ms0.Mallocs,
 		allocBytes: ms1.TotalAlloc - ms0.TotalAlloc,

@@ -1,14 +1,17 @@
 package bench
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"pbbf/internal/scenario"
 	"pbbf/internal/stats"
+	"pbbf/internal/trace"
 )
 
 // toyScenarios returns a minimal registry slice: one point-based scenario
@@ -428,7 +431,7 @@ func TestRunOverheadPairsArms(t *testing.T) {
 	if toy.ID != "toy" || toy.Points != 2 {
 		t.Fatalf("toy result: %+v", toy)
 	}
-	if toy.UntracedNSPerPoint <= 0 || toy.TracedNSPerPoint <= 0 || toy.Ratio <= 0 {
+	if toy.UntracedCPUNSPerPoint <= 0 || toy.TracedCPUNSPerPoint <= 0 || toy.Ratio <= 0 {
 		t.Fatalf("arms not measured: %+v", toy)
 	}
 	// Toy scenarios finish in microseconds — far under the noise floor,
@@ -450,5 +453,64 @@ func TestRunOverheadRejectsBadConfig(t *testing.T) {
 	cfg.Workers = -1
 	if _, err := RunOverhead(toyScenarios(), cfg); err == nil {
 		t.Fatal("negative workers accepted")
+	}
+}
+
+// spin burns a fixed amount of CPU work (not a fixed wall time, which a
+// preempted loop would stretch without using more CPU).
+func spin(rounds int) uint64 {
+	x := uint64(88172645463325252)
+	for i := 0; i < rounds; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+	}
+	return x
+}
+
+// sink keeps spin's result live.
+var sink uint64
+
+// armScenario is a one-point scenario whose points do the same CPU work in
+// both arms, plus extra only in the traced arm: a sleep, or more work.
+func armScenario(tracedExtra func()) scenario.Scenario {
+	return scenario.Scenario{
+		ID: "arms", Title: "overhead arms", Artifact: "extension",
+		Summary: "benchmark fixture",
+		Params:  []scenario.ParamDoc{{Name: "x", Desc: "sweep coordinate"}},
+		XLabel:  "x", YLabel: "y",
+		Points: func(scenario.Scale) ([]scenario.Point, error) {
+			return []scenario.Point{{Series: "s", X: 1, Params: map[string]float64{"x": 1}}}, nil
+		},
+		RunPointCtx: func(ctx context.Context, _ scenario.Scale, pt scenario.Point) (scenario.Result, error) {
+			sink += spin(4_000_000)
+			if trace.ProviderFrom(ctx) != nil {
+				tracedExtra()
+			}
+			return scenario.Result{Y: pt.X}, nil
+		},
+	}
+}
+
+// TestRunOverheadMeasuresCPU: a traced arm that only waits costs no CPU
+// and passes a 15% gate however long it waits; one that computes twice as
+// much fails it.
+func TestRunOverheadMeasuresCPU(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		extra  func()
+		lo, hi float64
+	}{
+		{"sleeps", func() { time.Sleep(20 * time.Millisecond) }, 0, 1.15},
+		{"spins", func() { sink += spin(4_000_000) }, 1.15, 10},
+	} {
+		rep, err := RunOverhead([]scenario.Scenario{armScenario(tc.extra)}, testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rep.Results[0]
+		if !r.Gated || r.Ratio <= tc.lo || r.Ratio >= tc.hi {
+			t.Errorf("%s: ratio %.2f (gated %v), want in (%.2f, %.2f): %+v", tc.name, r.Ratio, r.Gated, tc.lo, tc.hi, r)
+		}
 	}
 }

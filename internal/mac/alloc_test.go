@@ -15,9 +15,10 @@ import (
 // TestFleetSteadyStateZeroAlloc pins the MAC hot path to zero allocations:
 // after one warm-up run, repeating a full simulated run — fleet reset,
 // per-node reinitialization, a broadcast, and the complete frame/ATIM
-// beacon schedule — on the same pooled state must not allocate at all. The
-// frame tick and ATIM-window closures are bound once outside the measured
-// loop, exactly as netsim.RunPool binds them, so anything this test counts
+// beacon schedule, driven by Fleet.StartFrame and Fleet.EndATIMWindow — on
+// the same pooled state must not allocate at all. The frame tick and
+// ATIM-window closures are bound once outside the measured loop, exactly as
+// netsim.RunPool binds them, so anything this test counts
 // is an allocation a pooled simulation would pay per run. The "deaths"
 // input kills most of the fleet late in every run, as churn and battery
 // depletion do: a dead node must keep its queues' capacity for the next
@@ -50,15 +51,9 @@ func steadyStateRunAllocs(t *testing.T, deaths bool) float64 {
 	base := rng.New(7)
 	deliver := func(Packet, topo.NodeID, time.Duration) {}
 	var tick func()
-	endWindow := func() {
-		for _, n := range fleet.Nodes() {
-			n.EndATIMWindow()
-		}
-	}
+	endWindow := func() { fleet.EndATIMWindow(kernel.Now()) }
 	tick = func() {
-		for _, n := range fleet.Nodes() {
-			n.StartFrame()
-		}
+		fleet.StartFrame(kernel.Now())
 		kernel.Schedule(cfg.Timing.Active, endWindow)
 		kernel.Schedule(cfg.Timing.Frame, tick)
 	}

@@ -187,8 +187,8 @@ type Stats struct {
 	StayAwakeWins int // the protocol's window-end decision kept the node awake (PBBF: the q coin)
 }
 
-// Node is one PSM+PBBF MAC instance. Create with NewNode; the simulation
-// driver must call StartFrame at every beacon and EndATIMWindow when the
+// Node is one PSM+PBBF MAC instance. Nodes live in a Fleet, whose driver
+// calls Fleet.StartFrame at every beacon and Fleet.EndATIMWindow when the
 // ATIM window closes.
 type Node struct {
 	id      topo.NodeID
@@ -199,9 +199,8 @@ type Node struct {
 	deliver DeliveryFunc
 	seen    *core.DuplicateFilter
 
-	// Energy accounting lives in a struct-of-arrays Bank shared by the
-	// node's Fleet; slot is this node's account. Standalone nodes own a
-	// private single-slot bank.
+	// Energy accounting lives in the Bank shared by the node's Fleet; slot
+	// is this node's account.
 	bank *energy.Bank
 	slot int
 
@@ -210,6 +209,9 @@ type Node struct {
 	// one predictable branch and zero allocations.
 	trace trace.Sink
 
+	// plainPSM marks a run under a PSM protocol with an infinite battery:
+	// the beacon pass may take its fast path (see plain).
+	plainPSM bool
 	awake    bool
 	dead     bool // fail-stop: node left the network permanently
 	depleted bool // the death was a drained battery, not injected churn
@@ -233,8 +235,8 @@ type Node struct {
 	// onAir is the node's single in-flight frame record, reused across
 	// transmissions (the MAC serializes its own transmissions).
 	onAir wire
-	// relPool recycles the deferred-release records EndATIMWindow schedules
-	// for announced data frames.
+	// relPool recycles the deferred-release records releaseAnnounced
+	// schedules for announced data frames.
 	relPool []*releaseRec
 	// timerPool recycles protocol timer records (ScheduleTimer).
 	timerPool []*timerRec
@@ -254,22 +256,9 @@ var (
 	_ protocol.NodeAPI = (*Node)(nil)
 )
 
-// NewNode constructs a MAC node and registers it with the channel. The
-// node starts awake (simulation begins at a beacon). Standalone nodes own a
-// private energy bank; fleets share one (see Fleet).
-func NewNode(id topo.NodeID, cfg Config, kernel *sim.Kernel, channel *phy.Channel,
-	r *rng.Source, deliver DeliveryFunc) (*Node, error) {
-	n := &Node{}
-	bank := energy.NewBank()
-	bank.Init(1, energy.Config{Profile: cfg.Profile, Initial: energy.Idle, Start: kernel.Now()})
-	if err := n.init(id, cfg, kernel, channel, bank, 0, r, deliver); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
-// init (re)initializes the node in place for a new run — NewNode's body,
-// reusing every retained allocation: the duplicate filter's bitsets, the
+// init (re)initializes the node in place for a new run and registers it
+// with the channel; the node starts awake (simulation begins at a beacon).
+// It reuses every retained allocation: the duplicate filter's bitsets, the
 // pending/announced/tx queues' capacity, the pre-bound CSMA closures, the
 // release-record pool, and the protocol instances. The caller's bank slot
 // must already be sized and reset.
@@ -320,6 +309,7 @@ func (n *Node) init(id topo.NodeID, cfg Config, kernel *sim.Kernel, channel *phy
 	}
 	n.proto = p
 	n.usesATIM = p.UsesATIM()
+	n.plainPSM = n.usesATIM && !bank.Finite(slot)
 	if err := p.Reset(n, cfg.Protocol); err != nil {
 		return err
 	}
@@ -588,67 +578,66 @@ func (rec *timerRec) run() {
 	n.proto.OnTimer(n, tag)
 }
 
-// StartFrame begins a new beacon interval. Under a PSM protocol
-// (UsesATIM) every node wakes for the ATIM window, pending normal traffic
-// is promoted for announcement, and the ATIM (if any) contends for the
-// channel; protocols without the PSM substrate own the radio schedule and
-// only get their OnFrameStart hook.
-func (n *Node) StartFrame() {
-	if n.pollDepletion() {
-		return
-	}
-	if n.usesATIM {
-		now := n.kernel.Now()
-		n.setAwake(true)
-		n.setState(energy.Idle, now)
-		n.mustStay = false
-		n.atimOK = false
-		if len(n.pendingNormal) > 0 {
-			n.announced = append(n.announced, n.pendingNormal...)
-			n.pendingNormal = n.pendingNormal[:0]
-		}
-		if len(n.announced) > 0 {
-			n.mustStay = true
-			// Draw the ATIM transmission time uniformly within the window.
-			// Announcers are beacon-synchronized, so contending at the window
-			// start would make hidden-terminal ATIM collisions near-certain;
-			// spreading keeps the collision rate at the level the paper's
-			// ns-2 PSM exhibits (PSM reliability ≈ 1).
-			slack := n.cfg.ATIMAirtime() + n.cfg.DIFS + time.Duration(n.cfg.CWSlots)*n.cfg.Slot
-			span := n.cfg.Timing.Active - slack
-			if span < 0 {
-				span = 0
-			}
-			offset := time.Duration(n.rng.Float64() * float64(span))
-			n.kernel.Schedule(offset, n.sendATIMFn)
-		}
-	}
-	n.proto.OnFrameStart(n)
+// plain reports whether the beacon pass may take its fast path for the
+// node: alive, under a PSM protocol, with an infinite battery, and with
+// nothing pending or announced. For such a node the depletion poll, the
+// ATIM draw and the release scheduling are all no-ops, so the pass writes
+// the radio state and the bank slot directly. Traced nodes take the same
+// path and record what setAwake and setState would have recorded.
+func (n *Node) plain() bool {
+	return n.plainPSM && !n.dead && len(n.pendingNormal) == 0 && len(n.announced) == 0
 }
 
-// sendATIM queues this frame's ATIM announcement (scheduled by StartFrame).
+// openWindow is the general beacon start of a live node under a PSM
+// protocol: it wakes for the ATIM window, promotes pending normal traffic
+// for announcement, and schedules the ATIM, if any, to contend for the
+// channel.
+func (n *Node) openWindow(now time.Duration) {
+	n.setAwake(true)
+	n.setState(energy.Idle, now)
+	n.mustStay = false
+	n.atimOK = false
+	if len(n.pendingNormal) > 0 {
+		n.announced = append(n.announced, n.pendingNormal...)
+		n.pendingNormal = n.pendingNormal[:0]
+	}
+	if len(n.announced) > 0 {
+		n.mustStay = true
+		// Draw the ATIM transmission time uniformly within the window.
+		// Announcers are beacon-synchronized, so contending at the window
+		// start would make hidden-terminal ATIM collisions near-certain;
+		// spreading keeps the collision rate at the level the paper's
+		// ns-2 PSM exhibits (PSM reliability ≈ 1).
+		slack := n.cfg.ATIMAirtime() + n.cfg.DIFS + time.Duration(n.cfg.CWSlots)*n.cfg.Slot
+		span := n.cfg.Timing.Active - slack
+		if span < 0 {
+			span = 0
+		}
+		offset := time.Duration(n.rng.Float64() * float64(span))
+		n.kernel.Schedule(offset, n.sendATIMFn)
+	}
+}
+
+// sendATIM queues this frame's ATIM announcement (scheduled by openWindow).
 func (n *Node) sendATIM() {
 	n.enqueueTx(wire{kind: frameATIM}, false)
 }
 
-// EndATIMWindow closes the ATIM window: the protocol's sleep decision
-// (PBBF: the Sleep-Decision-Handler of Figure 3) and, if the node
-// announced traffic, the release of data frames to contend for the
-// channel. A no-op for protocols without the PSM substrate.
-func (n *Node) EndATIMWindow() {
-	if n.pollDepletion() || !n.usesATIM {
-		return
-	}
-	now := n.kernel.Now()
+// stayAfterWindow makes the protocol's sleep decision at the end of the
+// ATIM window (PBBF: the Sleep-Decision-Handler of Figure 3) and reports
+// whether the node stays awake.
+func (n *Node) stayAfterWindow() bool {
 	stay := n.mustStay || n.txBusy || len(n.txQueue) > 0
 	if !stay && n.proto.OnWindowEnd(n) {
 		stay = true
 		n.stats.StayAwakeWins++
 	}
-	if !stay {
-		n.setAwake(false)
-		n.setState(energy.Sleep, now)
-	}
+	return stay
+}
+
+// releaseAnnounced schedules the data frames the node announced in this
+// window, or re-queues them when the ATIM never made it out.
+func (n *Node) releaseAnnounced() {
 	if n.atimOK && len(n.announced) > 0 {
 		// Announced receivers stay awake for the whole beacon interval, so
 		// the data transmission time is drawn uniformly across it. As with
@@ -803,7 +792,7 @@ func (n *Node) attemptTx() {
 	if head.kind == frameATIM {
 		windowEnd := n.frameStart(now) + n.cfg.Timing.Active
 		if !n.inATIMWindow(now) || now+backoff+n.cfg.ATIMAirtime() > windowEnd {
-			// Can't fit this window; EndATIMWindow will re-queue the
+			// Can't fit this window; releaseAnnounced will re-queue the
 			// packets. Drop the ATIM frame itself.
 			n.txQueue = n.txQueue[0:copy(n.txQueue, n.txQueue[1:])]
 			n.attemptTx()

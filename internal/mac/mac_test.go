@@ -13,13 +13,14 @@ import (
 	"pbbf/internal/topo"
 )
 
-// harness wires a grid of MAC nodes to a channel and drives the beacon
-// schedule, recording application deliveries.
+// harness wires a grid of MAC nodes, one Fleet, to a channel and drives the
+// beacon schedule, recording application deliveries.
 type harness struct {
 	t       *testing.T
 	cfg     Config
 	kernel  *sim.Kernel
 	channel *phy.Channel
+	fleet   *Fleet
 	nodes   []*Node
 	// got[node] lists (packet, time) deliveries.
 	got [][]delivered
@@ -36,22 +37,23 @@ func newHarness(t *testing.T, w, h int, cfg Config, seed uint64) *harness {
 	hn := &harness{
 		t:      t,
 		kernel: sim.NewKernel(),
+		fleet:  NewFleet(),
 		got:    make([][]delivered, g.N()),
-		nodes:  make([]*Node, g.N()),
 	}
 	hn.channel = phy.NewChannel(hn.kernel, g)
+	hn.fleet.Reset(g.N(), cfg.Profile, hn.kernel.Now())
 	base := rng.New(seed)
 	for i := 0; i < g.N(); i++ {
 		i := i
-		node, err := NewNode(topo.NodeID(i), cfg, hn.kernel, hn.channel, base.Split(),
+		err := hn.fleet.InitNode(i, topo.NodeID(i), cfg, hn.kernel, hn.channel, base,
 			func(pkt Packet, _ topo.NodeID, now time.Duration) {
 				hn.got[i] = append(hn.got[i], delivered{pkt: pkt, at: now})
 			})
 		if err != nil {
 			t.Fatal(err)
 		}
-		hn.nodes[i] = node
 	}
+	hn.nodes = hn.fleet.Nodes()
 	hn.cfg = cfg
 	return hn
 }
@@ -63,13 +65,9 @@ func (h *harness) run(d time.Duration) {
 	h.t.Helper()
 	var tick func()
 	tick = func() {
-		for _, n := range h.nodes {
-			n.StartFrame()
-		}
+		h.fleet.StartFrame(h.kernel.Now())
 		h.kernel.Schedule(h.cfg.Timing.Active, func() {
-			for _, n := range h.nodes {
-				n.EndATIMWindow()
-			}
+			h.fleet.EndATIMWindow(h.kernel.Now())
 		})
 		h.kernel.Schedule(h.cfg.Timing.Frame, tick)
 	}
@@ -140,7 +138,10 @@ func TestNewNodeRejectsNilDelivery(t *testing.T) {
 	g := topo.MustGrid(2, 1)
 	k := sim.NewKernel()
 	c := phy.NewChannel(k, g)
-	if _, err := NewNode(0, DefaultConfig(core.PSM()), k, c, rng.New(1), nil); err == nil {
+	cfg := DefaultConfig(core.PSM())
+	f := NewFleet()
+	f.Reset(g.N(), cfg.Profile, k.Now())
+	if err := f.InitNode(0, 0, cfg, k, c, rng.New(1), nil); err == nil {
 		t.Fatal("nil delivery accepted")
 	}
 }

@@ -14,12 +14,12 @@ import (
 )
 
 // RunPool is the simulator. It owns every reusable piece of one run: the
-// event kernel, the channel, a node fleet with its struct-of-arrays energy
-// bank, per-node trackers, the code-distribution source, the link-loss
-// table, the churn and BFS scratch buffers, and all the run-level callbacks
-// — bound once and rescheduled forever. Points that lease the same pool in
-// turn (the experiments free list hands it to one point at a time) perform
-// their steady-state simulation work with (near) zero allocation; the
+// event kernel, the channel, a node fleet with its energy bank, per-node
+// trackers, the code-distribution source, the link-loss table, the churn
+// and BFS scratch buffers, and all the run-level callbacks — bound once
+// and rescheduled forever. Points that lease the same pool in turn (the
+// experiments free list hands it to one point at a time) perform their
+// steady-state simulation work with (near) zero allocation; the
 // package-level Run uses a fresh pool.
 //
 // Determinism: a run's result depends only on its Config, never on what
@@ -72,18 +72,11 @@ func NewRunPool() *RunPool {
 			Payload: payload,
 		})
 	}
-	// Beacon schedule: one recurring frame tick fans StartFrame out over the
-	// fleet at each beacon, then EndATIMWindow when the window closes. Nodes
-	// are visited in ID order, keeping runs deterministic.
-	p.endWindow = func() {
-		for _, node := range p.fleet.Nodes() {
-			node.EndATIMWindow()
-		}
-	}
+	// Beacon schedule: one recurring frame tick starts the frame on the
+	// whole fleet at each beacon, then closes the ATIM window when it ends.
+	p.endWindow = func() { p.fleet.EndATIMWindow(p.kernel.Now()) }
 	p.tick = func() {
-		for _, node := range p.fleet.Nodes() {
-			node.StartFrame()
-		}
+		p.fleet.StartFrame(p.kernel.Now())
 		p.kernel.Schedule(p.cfg.MAC.Timing.Active, p.endWindow)
 		p.kernel.Schedule(p.cfg.MAC.Timing.Frame, p.tick)
 	}

@@ -42,9 +42,12 @@ type Receiver interface {
 
 // reception tracks one in-progress decode at a receiver. Records live
 // inline in the channel's per-node slice (active marks occupancy) so
-// starting a decode allocates nothing.
+// starting a decode allocates nothing. A record names only the sender: a
+// sender has at most one frame on the air (Transmit refuses a second), so
+// the sender identifies the frame, and the pointer-free record keeps the
+// per-receiver write small and invisible to the garbage collector.
 type reception struct {
-	frame     Frame
+	sender    topo.NodeID
 	active    bool
 	corrupted bool
 }
@@ -230,7 +233,7 @@ func (c *Channel) Transmit(f Frame, onDone func()) error {
 			// Overlap with an in-progress decode: both are lost.
 			c.rx[nb].corrupted = true
 		case c.busy[nb] == 1 && c.canHear(nb):
-			c.rx[nb] = reception{frame: f, active: true}
+			c.rx[nb] = reception{sender: f.Sender, active: true}
 		default:
 			// Channel already busy or radio not listening: frame lost at
 			// this receiver. Nothing to record; busy bookkeeping suffices.
@@ -265,7 +268,7 @@ func (end *txEnd) run() {
 	for _, nb := range end.neighbors {
 		c.busy[nb]--
 		r := &c.rx[nb]
-		if !r.active || r.frame.Sender != f.Sender {
+		if !r.active || r.sender != f.Sender {
 			continue
 		}
 		corrupted := r.corrupted

@@ -272,3 +272,34 @@ func TestTransmittingNodeCannotReceive(t *testing.T) {
 		t.Fatal("transmitting node decoded a frame")
 	}
 }
+
+func TestSenderResendsAfterCollision(t *testing.T) {
+	// 0 and 2 overlap at node 1; 0's frame ends first, then 2's. Node 0
+	// then sends a second frame alone: node 1 decodes exactly that frame,
+	// with its own payload, and nothing of the collided pair.
+	k, c, rx := line3(t)
+	if err := c.Transmit(Frame{Sender: 0, Payload: "a1", Airtime: 10 * time.Millisecond}, nil); err != nil {
+		t.Fatal(err)
+	}
+	k.Schedule(2*time.Millisecond, func() {
+		if err := c.Transmit(Frame{Sender: 2, Payload: "b", Airtime: 10 * time.Millisecond}, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	k.Schedule(15*time.Millisecond, func() {
+		if err := c.Transmit(Frame{Sender: 0, Payload: "a2", Airtime: 10 * time.Millisecond}, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := k.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if got := rx[1].got; len(got) != 1 || got[0].Sender != 0 || got[0].Payload != "a2" {
+		t.Fatalf("node 1 got %v, want only node 0's second frame", got)
+	}
+	// Node 1 is the only receiver: a1 collides, b was never decodable
+	// (the channel was already busy when it started), a2 is delivered.
+	if started, delivered, collided := c.Stats(); started != 3 || delivered != 1 || collided != 1 {
+		t.Fatalf("stats: started=%d delivered=%d collided=%d", started, delivered, collided)
+	}
+}

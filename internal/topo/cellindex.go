@@ -94,39 +94,31 @@ func (ci *CellIndex) cellOf(p Point) int {
 	return cy*ci.cols + cx
 }
 
-// ForEachWithin invokes fn for every indexed node within radius r of p
-// (inclusive), in no particular order. r should be <= the index cell size
-// for the 3x3 scan to be exhaustive; larger radii widen the scanned block
-// accordingly, so correctness never depends on r.
-func (ci *CellIndex) ForEachWithin(p Point, r float64, fn func(NodeID)) {
+// appendWithin appends to dst every indexed node other than skip within
+// radius r of p (inclusive), in cell order. r should be <= the index cell
+// size for the 3x3 scan to be exhaustive; larger radii widen the scanned
+// block accordingly, so correctness never depends on r.
+func (ci *CellIndex) appendWithin(dst []NodeID, p Point, r float64, skip NodeID) []NodeID {
 	span := int(math.Ceil(r / ci.cellSize))
 	cx := int(p.X / ci.cellSize)
 	cy := int(p.Y / ci.cellSize)
-	for dy := -span; dy <= span; dy++ {
-		y := cy + dy
-		if y < 0 || y >= ci.rows {
-			continue
-		}
-		for dx := -span; dx <= span; dx++ {
-			x := cx + dx
-			if x < 0 || x >= ci.cols {
-				continue
-			}
+	for y := max(cy-span, 0); y <= min(cy+span, ci.rows-1); y++ {
+		for x := max(cx-span, 0); x <= min(cx+span, ci.cols-1); x++ {
 			c := y*ci.cols + x
 			for _, id := range ci.nodes[ci.starts[c]:ci.starts[c+1]] {
-				if ci.pts[id].Dist(p) <= r {
-					fn(id)
+				if id != skip && ci.pts[id].Dist(p) <= r {
+					dst = append(dst, id)
 				}
 			}
 		}
 	}
+	return dst
 }
 
 // Within returns the indexed nodes within radius r of p in ascending ID
 // order.
 func (ci *CellIndex) Within(p Point, r float64) []NodeID {
-	var out []NodeID
-	ci.ForEachWithin(p, r, func(id NodeID) { out = append(out, id) })
+	out := ci.appendWithin(nil, p, r, -1)
 	slices.Sort(out)
 	return out
 }

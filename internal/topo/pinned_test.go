@@ -101,3 +101,59 @@ func TestPinnedTopologies(t *testing.T) {
 		}
 	}
 }
+
+// TestPinnedRejectedTries pins two retry loops that reject several
+// placements before keeping one: a Δ=8 Gaussian-clustered field at the
+// quick scale's 30 nodes and a Δ=8 30-node disk. Values were recorded when
+// every try built sorted lists. The kept topology's digest shows the same
+// placement is kept; the source's next draw shows every rejected try
+// consumed the same stream, on a fresh builder and on a reused Scratch.
+func TestPinnedRejectedTries(t *testing.T) {
+	disk := DiskConfig{N: 30, Range: 30, Area: AreaForDensity(30, 30, 8)}
+	clusters := ClusterConfig{N: 30, Range: 30, Area: AreaForDensity(30, 30, 8), Clusters: 4, Sigma: 15}
+	cases := []struct {
+		name       string
+		seed       uint64
+		build      func(sc *Scratch, r *rng.Source, tries *int) (Topology, error)
+		wantTries  int
+		wantDigest string
+		wantNext   uint64
+	}{
+		{"clusters", 60, func(sc *Scratch, r *rng.Source, tries *int) (Topology, error) {
+			gen := func(r *rng.Source) (*Field, error) { *tries++; return sc.GaussianClusters(clusters, r) }
+			return sc.ConnectedField(gen, r, 500)
+		}, 7, "n=30 e=103 b21f061bc25bce2e", 4689439345497784733},
+		{"disk", 11, func(sc *Scratch, r *rng.Source, tries *int) (Topology, error) {
+			// Count the tries by replaying the loop on a copy of the stream.
+			replay := rng.New(11)
+			for {
+				*tries++
+				d, err := NewRandomDisk(disk, replay)
+				if err != nil || Connected(d) {
+					break
+				}
+			}
+			return sc.ConnectedRandomDisk(disk, r, 500)
+		}, 6, "n=30 e=95 a13992bd5c27bce7", 9434822514784859943},
+	}
+	shared := NewScratch()
+	for _, tc := range cases {
+		for _, sc := range []*Scratch{NewScratch(), shared} {
+			r := rng.New(tc.seed)
+			tries := 0
+			topo, err := tc.build(sc, r, &tries)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if tries != tc.wantTries {
+				t.Errorf("%s: %d tries, want %d", tc.name, tries, tc.wantTries)
+			}
+			if got := digest(topo); got != tc.wantDigest {
+				t.Errorf("%s: digest %s, want %s", tc.name, got, tc.wantDigest)
+			}
+			if got := r.Uint64(); got != tc.wantNext {
+				t.Errorf("%s: next draw %d, want %d", tc.name, got, tc.wantNext)
+			}
+		}
+	}
+}

@@ -38,7 +38,7 @@ type Scratch struct {
 	centers   []Point
 	neighbors [][]NodeID
 	backing   []NodeID
-	degree    []int32
+	ends      []int32
 	fill      []int32
 	index     CellIndex
 	disk      RandomDisk
@@ -50,43 +50,39 @@ type Scratch struct {
 // NewScratch returns an empty scratch; buffers grow to fit on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// diskAdjacency builds sorted unit-disk adjacency lists over positions via
-// the grid-bucket index: each node scans only the cell block around it
+// diskAdjacency builds unit-disk adjacency lists over positions via the
+// grid-bucket index: each node scans only the cell block around it
 // (O(N·Δ) total) instead of every other node (O(N²)), and the whole
-// adjacency lives in one backing array. Lists are sorted ascending, the
-// order the pairwise construction produces, so topologies are bit-identical
-// to it (TestRandomDiskMatchesPairwiseBuilder).
+// adjacency lives in one backing array. One scan per node appends its
+// neighbors to the backing array; the lists are sliced from it after the
+// scan, since an append may move the array. The lists come out in cell
+// order; sortLists puts them in the ascending order the pairwise
+// construction produces (TestRandomDiskMatchesPairwiseBuilder).
 func (sc *Scratch) diskAdjacency(positions []Point, extent, rangeM float64) ([][]NodeID, *CellIndex) {
 	n := len(positions)
 	sc.index.build(positions, extent, rangeM, &sc.fill)
 	index := &sc.index
 	sc.neighbors = grown(sc.neighbors, n)
-	sc.degree = grown(sc.degree, n)
-	neighbors, degree := sc.neighbors, sc.degree
-	total := 0
-	for i := 0; i < n; i++ {
-		k := 0
-		index.ForEachWithin(positions[i], rangeM, func(NodeID) { k++ })
-		degree[i] = int32(k - 1) // exclude self
-		total += k - 1
-	}
-	if cap(sc.backing) < total {
-		sc.backing = make([]NodeID, 0, total)
-	}
+	sc.ends = grown(sc.ends, n)
 	backing := sc.backing[:0]
 	for i := 0; i < n; i++ {
-		start := len(backing)
-		index.ForEachWithin(positions[i], rangeM, func(j NodeID) {
-			if int(j) != i {
-				backing = append(backing, j)
-			}
-		})
-		list := backing[start : start+int(degree[i]) : start+int(degree[i])]
-		slices.Sort(list)
-		neighbors[i] = list
+		backing = index.appendWithin(backing, positions[i], rangeM, NodeID(i))
+		sc.ends[i] = int32(len(backing))
 	}
 	sc.backing = backing
-	return neighbors, index
+	start := int32(0)
+	for i, end := range sc.ends {
+		sc.neighbors[i] = backing[start:end:end]
+		start = end
+	}
+	return sc.neighbors, index
+}
+
+// sortLists sorts every adjacency list ascending.
+func sortLists(neighbors [][]NodeID) {
+	for _, list := range neighbors {
+		slices.Sort(list)
+	}
 }
 
 // RandomDisk places cfg.N nodes uniformly at random in a square of area
@@ -94,6 +90,16 @@ func (sc *Scratch) diskAdjacency(positions []Point, extent, rangeM float64) ([][
 // within cfg.Range. The returned topology is valid until the next build on
 // sc.
 func (sc *Scratch) RandomDisk(cfg DiskConfig, r *rng.Source) (*RandomDisk, error) {
+	d, err := sc.randomDisk(cfg, r)
+	if err != nil {
+		return nil, err
+	}
+	sortLists(d.neighbors)
+	return d, nil
+}
+
+// randomDisk is RandomDisk with its adjacency lists left unsorted.
+func (sc *Scratch) randomDisk(cfg DiskConfig, r *rng.Source) (*RandomDisk, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("topo: node count must be positive, got %d", cfg.N)
 	}
@@ -118,13 +124,16 @@ func (sc *Scratch) RandomDisk(cfg DiskConfig, r *rng.Source) (*RandomDisk, error
 
 // ConnectedRandomDisk retries RandomDisk until the graph is connected, up to
 // maxTries attempts, checking connectivity on the scratch's BFS buffers.
+// Connectivity does not depend on list order, so only the placement kept
+// has its lists sorted; every try draws exactly what RandomDisk draws.
 func (sc *Scratch) ConnectedRandomDisk(cfg DiskConfig, r *rng.Source, maxTries int) (*RandomDisk, error) {
 	for try := 0; try < maxTries; try++ {
-		d, err := sc.RandomDisk(cfg, r)
+		d, err := sc.randomDisk(cfg, r)
 		if err != nil {
 			return nil, err
 		}
 		if sc.Connected(d) {
+			sortLists(d.neighbors)
 			return d, nil
 		}
 	}
@@ -178,6 +187,7 @@ func (sc *Scratch) buildField(positions []Point, w, h, rangeM float64) (*Field, 
 		return nil, fmt.Errorf("topo: range and extent must be positive, got R=%v w=%v h=%v", rangeM, w, h)
 	}
 	neighbors, index := sc.diskAdjacency(positions, math.Max(w, h), rangeM)
+	sortLists(neighbors)
 	sc.field = Field{positions: positions, neighbors: neighbors, rangeM: rangeM, w: w, h: h, index: index}
 	return &sc.field, nil
 }

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"fmt"
 	"testing"
 
 	"pbbf/internal/raceflag"
@@ -132,5 +133,24 @@ func TestScratchSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state ConnectedRandomDisk allocates %.0f times per build, want 0", allocs)
+	}
+}
+
+// BenchmarkConnectedRandomDisk times one connected placement on a reused
+// Scratch, rejected tries included, at the bench scale's field size and
+// the densities the Section 5 sweeps use.
+func BenchmarkConnectedRandomDisk(b *testing.B) {
+	for _, delta := range []float64{8, 10, 12, 16} {
+		b.Run(fmt.Sprintf("delta=%v", delta), func(b *testing.B) {
+			cfg := DiskConfig{N: 100, Range: 30, Area: AreaForDensity(100, 30, delta)}
+			sc := NewScratch()
+			r := rng.New(1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sc.ConnectedRandomDisk(cfg, r, 500); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
