@@ -243,17 +243,27 @@ func TestBenchGatesOnBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Against its own report nothing regresses by construction (identical
-	// seeds, same machine, moments apart) at a generous threshold.
-	if _, err := benchArgs(t, dir, "-baseline", path, "-threshold", "3.0"); err != nil {
-		t.Fatalf("self-comparison failed: %v", err)
-	}
-	// Inflate the current run's cost bound: a baseline claiming everything
-	// used to be instant must trip the gate.
 	base, err := bench.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A baseline 1000x slower per point than this run cannot be beaten by
+	// machine noise, so the pass path checks the gate's wiring, not the
+	// machine. Allocations stay as measured, so the allocation gate runs
+	// against the same program's own counts.
+	slow := *base
+	slow.Scenarios = append([]bench.ScenarioResult(nil), base.Scenarios...)
+	for i := range slow.Scenarios {
+		slow.Scenarios[i].NSPerPoint *= 1000
+	}
+	slowPath := filepath.Join(dir, "slow.json")
+	if err := slow.WriteFile(slowPath); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := benchArgs(t, dir, "-baseline", slowPath, "-threshold", "3.0"); err != nil {
+		t.Fatalf("comparison against a 1000x slower baseline failed: %v", err)
+	}
+	// A baseline claiming everything used to be instant must trip the gate.
 	for i := range base.Scenarios {
 		base.Scenarios[i].NSPerPoint = 1
 	}

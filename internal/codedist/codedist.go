@@ -8,6 +8,8 @@ package codedist
 import (
 	"fmt"
 	"time"
+
+	"pbbf/internal/core"
 )
 
 // Update is one code update generated at the source.
@@ -24,24 +26,17 @@ type Payload struct {
 	Updates []Update
 }
 
-// Source generates updates and builds packet payloads.
+// Source generates updates and builds packet payloads. The zero value
+// must be Reset with a batch size before use.
 type Source struct {
 	k      int
 	recent []Update
 	next   int
 }
 
-// NewSource returns a source batching the k most recent updates per packet
-// (Table 2 experiments use k=1).
-func NewSource(k int) (*Source, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("codedist: k %d must be positive", k)
-	}
-	return &Source{k: k, recent: make([]Update, 0, k)}, nil
-}
-
-// Reset reinitializes the source in place for a new run with batch size k,
-// keeping the recent-updates buffer.
+// Reset (re)initializes the source in place for a new run batching the k
+// most recent updates per packet (Table 2 experiments use k=1), keeping
+// the recent-updates buffer.
 func (s *Source) Reset(k int) error {
 	if k <= 0 {
 		return fmt.Errorf("codedist: k %d must be positive", k)
@@ -70,54 +65,38 @@ func (s *Source) Generate(now time.Duration) Payload {
 func (s *Source) Generated() int { return s.next }
 
 // Tracker records, per receiving node, when each update was first learned.
-// Sequence numbers are dense from zero, so first-sight state lives in flat
-// slices indexed by seq: observing a payload on the reception hot path is
-// an array test, not a map probe.
+// Sequence numbers are dense from zero, so first-sight state lives in a
+// core.SeqSet and a latency slice indexed by seq: observing a payload on
+// the reception hot path is an array test, not a map probe. The zero value
+// is an empty tracker.
 type Tracker struct {
+	seen     core.SeqSet
 	latency  []time.Duration
-	seen     []bool
 	received int
 }
 
-// NewTracker returns an empty tracker.
-func NewTracker() *Tracker {
-	return &Tracker{}
-}
-
-// Reset clears the tracker for reuse across runs, keeping the flat slices'
-// capacity so a pooled tracker records a whole run without allocating.
+// Reset clears the tracker for reuse across runs, keeping its capacity so
+// a pooled tracker records a whole run without allocating.
 func (t *Tracker) Reset() {
-	t.seen = t.seen[:0]
+	t.seen.Clear()
 	t.latency = t.latency[:0]
 	t.received = 0
 }
 
-// maxSeq bounds the sequence numbers the tracker accepts. Sources number
-// updates densely from zero, so a sequence outside [0, maxSeq) means a
-// caller broke that invariant (hash or timestamp as Seq); fail loudly
-// instead of growing the flat state toward OOM.
-const maxSeq = 1 << 26
-
 // Observe processes a received payload at time now, recording first-sight
-// latency for updates not seen before.
+// latency for updates not seen before. A negative seq panics through the
+// set's dense-seq guard.
 func (t *Tracker) Observe(p Payload, now time.Duration) {
 	for _, u := range p.Updates {
-		if u.Seq < 0 || u.Seq >= maxSeq {
-			panic(fmt.Sprintf("codedist: update sequence %d breaks the dense-seq invariant [0, %d)", u.Seq, maxSeq))
+		if !t.seen.Add(uint64(u.Seq)) {
+			continue
 		}
-		// Grow element-wise: appending zero values one at a time reuses
-		// retained capacity (a Reset tracker re-records a run with no
-		// allocation) where appending a make()-temporary would allocate
-		// the temporary on every growth step.
-		for len(t.seen) <= u.Seq {
-			t.seen = append(t.seen, false)
+		// Grow element-wise so a Reset tracker reuses its capacity.
+		for len(t.latency) <= u.Seq {
 			t.latency = append(t.latency, 0)
 		}
-		if !t.seen[u.Seq] {
-			t.seen[u.Seq] = true
-			t.latency[u.Seq] = now - u.GeneratedAt
-			t.received++
-		}
+		t.latency[u.Seq] = now - u.GeneratedAt
+		t.received++
 	}
 }
 
@@ -126,19 +105,8 @@ func (t *Tracker) Received() int { return t.received }
 
 // Latency returns the first-sight latency of update seq.
 func (t *Tracker) Latency(seq int) (time.Duration, bool) {
-	if seq < 0 || seq >= len(t.seen) || !t.seen[seq] {
+	if seq < 0 || !t.seen.Has(uint64(seq)) {
 		return 0, false
 	}
 	return t.latency[seq], true
-}
-
-// Latencies returns all recorded (seq, latency) pairs as a map copy.
-func (t *Tracker) Latencies() map[int]time.Duration {
-	out := make(map[int]time.Duration, t.received)
-	for seq, ok := range t.seen {
-		if ok {
-			out[seq] = t.latency[seq]
-		}
-	}
-	return out
 }

@@ -6,20 +6,28 @@ import (
 	"time"
 )
 
-func TestNewSourceValidation(t *testing.T) {
-	if _, err := NewSource(0); err == nil {
+// newSource returns a source Reset to batch size k.
+func newSource(t *testing.T, k int) *Source {
+	t.Helper()
+	var s Source
+	if err := s.Reset(k); err != nil {
+		t.Fatal(err)
+	}
+	return &s
+}
+
+func TestSourceResetValidation(t *testing.T) {
+	var s Source
+	if err := s.Reset(0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := NewSource(-1); err == nil {
+	if err := s.Reset(-1); err == nil {
 		t.Fatal("k=-1 accepted")
 	}
 }
 
 func TestGenerateSequences(t *testing.T) {
-	s, err := NewSource(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSource(t, 1)
 	for i := 0; i < 5; i++ {
 		p := s.Generate(time.Duration(i) * time.Second)
 		if len(p.Updates) != 1 {
@@ -38,10 +46,7 @@ func TestGenerateSequences(t *testing.T) {
 }
 
 func TestKBatching(t *testing.T) {
-	s, err := NewSource(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSource(t, 3)
 	var last Payload
 	for i := 0; i < 5; i++ {
 		last = s.Generate(time.Duration(i) * time.Second)
@@ -58,7 +63,7 @@ func TestKBatching(t *testing.T) {
 }
 
 func TestPayloadIsACopy(t *testing.T) {
-	s, _ := NewSource(2)
+	s := newSource(t, 2)
 	p1 := s.Generate(0)
 	p1.Updates[0].Seq = 999
 	p2 := s.Generate(time.Second)
@@ -68,7 +73,7 @@ func TestPayloadIsACopy(t *testing.T) {
 }
 
 func TestTrackerFirstSightLatency(t *testing.T) {
-	tr := NewTracker()
+	var tr Tracker
 	p := Payload{Updates: []Update{{Seq: 0, GeneratedAt: 10 * time.Second}}}
 	tr.Observe(p, 14*time.Second)
 	// Re-observing later must not overwrite the first-sight latency.
@@ -84,7 +89,7 @@ func TestTrackerFirstSightLatency(t *testing.T) {
 
 func TestTrackerBatchedCatchUp(t *testing.T) {
 	// A node that misses packet 0 learns update 0 from packet 1 (k=2).
-	tr := NewTracker()
+	var tr Tracker
 	p := Payload{Updates: []Update{
 		{Seq: 0, GeneratedAt: 0},
 		{Seq: 1, GeneratedAt: 100 * time.Second},
@@ -100,20 +105,9 @@ func TestTrackerBatchedCatchUp(t *testing.T) {
 }
 
 func TestTrackerMissingUpdate(t *testing.T) {
-	tr := NewTracker()
+	var tr Tracker
 	if _, ok := tr.Latency(7); ok {
 		t.Fatal("missing update reported present")
-	}
-}
-
-func TestLatenciesCopy(t *testing.T) {
-	tr := NewTracker()
-	tr.Observe(Payload{Updates: []Update{{Seq: 0}}}, time.Second)
-	m := tr.Latencies()
-	m[0] = 0
-	lat, _ := tr.Latency(0)
-	if lat != time.Second {
-		t.Fatal("Latencies exposed internal map")
 	}
 }
 
@@ -123,8 +117,8 @@ func TestPropertyBatchContents(t *testing.T) {
 	check := func(rawK, rawN uint8) bool {
 		k := int(rawK)%5 + 1
 		n := int(rawN)%20 + 1
-		s, err := NewSource(k)
-		if err != nil {
+		var s Source
+		if err := s.Reset(k); err != nil {
 			return false
 		}
 		var p Payload
@@ -151,17 +145,18 @@ func TestPropertyBatchContents(t *testing.T) {
 }
 
 // TestTrackerRejectsSparseSeq pins the dense-seq invariant: sequence
-// numbers outside [0, maxSeq) must fail loudly instead of growing the flat
+// numbers outside [0, 1<<26) must fail loudly instead of growing the flat
 // first-sight state toward OOM.
 func TestTrackerRejectsSparseSeq(t *testing.T) {
-	for _, seq := range []int{-1, maxSeq} {
+	for _, seq := range []int{-1, 1 << 26} {
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Fatalf("Observe with seq %d did not panic", seq)
 				}
 			}()
-			NewTracker().Observe(Payload{Updates: []Update{{Seq: seq}}}, time.Second)
+			var tr Tracker
+			tr.Observe(Payload{Updates: []Update{{Seq: seq}}}, time.Second)
 		}()
 	}
 }

@@ -3,115 +3,109 @@ package core
 import (
 	"testing"
 	"testing/quick"
+
+	"pbbf/internal/raceflag"
 )
 
+// A node's duplicate filter is one SeqSet: a run has one broadcast origin,
+// so first sight is a question about the sequence number alone.
+
 func TestDuplicateFilterBasics(t *testing.T) {
-	f := NewDuplicateFilter()
-	key := PacketKey{Origin: 3, Seq: 7}
-	if f.Seen(key) {
-		t.Fatal("fresh filter reported seen")
+	var s SeqSet
+	if s.Has(7) {
+		t.Fatal("empty set reported seen")
 	}
-	if !f.MarkSeen(key) {
-		t.Fatal("first MarkSeen returned false")
+	if !s.Add(7) {
+		t.Fatal("first Add returned false")
 	}
-	if !f.Seen(key) {
-		t.Fatal("marked key not seen")
+	if !s.Has(7) {
+		t.Fatal("added seq not seen")
 	}
-	if f.MarkSeen(key) {
-		t.Fatal("second MarkSeen returned true")
+	if s.Add(7) {
+		t.Fatal("second Add returned true")
 	}
-	if f.Len() != 1 {
-		t.Fatalf("len = %d", f.Len())
-	}
-}
-
-func TestDuplicateFilterDistinguishesKeys(t *testing.T) {
-	f := NewDuplicateFilter()
-	f.MarkSeen(PacketKey{Origin: 1, Seq: 1})
-	if f.Seen(PacketKey{Origin: 1, Seq: 2}) {
-		t.Fatal("different seq reported seen")
-	}
-	if f.Seen(PacketKey{Origin: 2, Seq: 1}) {
-		t.Fatal("different origin reported seen")
+	if s.Has(6) || s.Has(8) {
+		t.Fatal("neighbouring seq reported seen")
 	}
 }
 
+// TestSeqSetGrowsAcrossWords: seqs on both sides of each 64-bit word
+// boundary land in their own bits, and a seq beyond the grown words reads
+// as unseen.
+func TestSeqSetGrowsAcrossWords(t *testing.T) {
+	var s SeqSet
+	seqs := []uint64{0, 63, 64, 127, 128, 200}
+	for _, seq := range seqs {
+		if !s.Add(seq) {
+			t.Fatalf("first Add(%d) returned false", seq)
+		}
+	}
+	for seq := uint64(0); seq < 300; seq++ {
+		want := false
+		for _, in := range seqs {
+			want = want || in == seq
+		}
+		if s.Has(seq) != want {
+			t.Fatalf("Has(%d) = %v, want %v", seq, !want, want)
+		}
+	}
+	if len(s.words) != 4 {
+		t.Fatalf("set holds %d words, want 4 for seq 200", len(s.words))
+	}
+}
+
+// TestDuplicateFilterReset: Clear empties the set, and a cleared set
+// re-marks a run's broadcasts without allocating.
 func TestDuplicateFilterReset(t *testing.T) {
-	f := NewDuplicateFilter()
-	f.MarkSeen(PacketKey{Origin: 1, Seq: 1})
-	f.Reset()
-	if f.Len() != 0 {
-		t.Fatalf("len after reset = %d", f.Len())
+	var s SeqSet
+	for seq := uint64(0); seq < 130; seq++ {
+		s.Add(seq)
 	}
-	if f.Seen(PacketKey{Origin: 1, Seq: 1}) {
-		t.Fatal("key survived reset")
+	s.Clear()
+	for seq := uint64(0); seq < 200; seq++ {
+		if s.Has(seq) {
+			t.Fatalf("seq %d survived Clear", seq)
+		}
 	}
-}
-
-// TestDuplicateFilterResetKeepsOneRun models a pooled filter across runs
-// that each pick a new broadcast source: after Reset it holds only the
-// bitsets of the last run, reuses them for the next run's origins without
-// allocating, and answers Seen/MarkSeen/Len exactly like a fresh filter.
-func TestDuplicateFilterResetKeepsOneRun(t *testing.T) {
-	f := NewDuplicateFilter()
-	const runs, perRun = 200, 3
-	for run := 0; run < runs; run++ {
-		f.Reset()
-		if f.Len() != 0 {
-			t.Fatalf("run %d: len after reset = %d", run, f.Len())
-		}
-		if run > 0 {
-			if got := len(f.byOrigin) + len(f.spare); got != perRun {
-				t.Fatalf("run %d: filter holds %d bitsets, want one run's %d", run, got, perRun)
-			}
-			prev := PacketKey{Origin: (run - 1) * perRun, Seq: 0}
-			if f.Seen(prev) {
-				t.Fatalf("run %d: key %v of the previous run survived reset", run, prev)
-			}
-		}
-		for o := 0; o < perRun; o++ {
-			for seq := uint64(0); seq < 100; seq += 7 {
-				key := PacketKey{Origin: run*perRun + o, Seq: seq}
-				if f.Seen(key) || !f.MarkSeen(key) || f.MarkSeen(key) || !f.Seen(key) {
-					t.Fatalf("run %d: first sight of %v misreported", run, key)
-				}
-			}
-		}
-		if want := perRun * 15; f.Len() != want {
-			t.Fatalf("run %d: len = %d, want %d", run, f.Len(), want)
-		}
-		if f.Seen(PacketKey{Origin: run*perRun + 1, Seq: 1}) {
-			t.Fatalf("run %d: unmarked seq reported seen", run)
-		}
+	if !s.Add(129) || s.Add(129) {
+		t.Fatal("first sight after Clear misreported")
+	}
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		f.Reset()
-		for o := 0; o < perRun; o++ {
-			f.MarkSeen(PacketKey{Origin: 1000 + o, Seq: 5})
+		s.Clear()
+		for seq := uint64(0); seq < 130; seq++ {
+			s.Add(seq)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm filter allocates %.1f times per run", allocs)
+		t.Fatalf("warm set allocates %.1f times per run", allocs)
 	}
 }
 
-// Property: MarkSeen returns true exactly once per distinct key.
+// Property: Add returns true exactly once per distinct seq, and Has agrees.
 func TestPropertyMarkSeenOnce(t *testing.T) {
-	check := func(keys []uint16) bool {
-		f := NewDuplicateFilter()
-		firsts := map[PacketKey]int{}
-		for _, k := range keys {
-			key := PacketKey{Origin: int(k % 16), Seq: uint64(k / 16)}
-			if f.MarkSeen(key) {
-				firsts[key]++
+	check := func(seqs []uint16) bool {
+		var s SeqSet
+		firsts := map[uint64]int{}
+		for _, raw := range seqs {
+			seq := uint64(raw % 1024)
+			if s.Add(seq) {
+				firsts[seq]++
 			}
 		}
-		for _, n := range firsts {
-			if n != 1 {
+		for seq, n := range firsts {
+			if n != 1 || !s.Has(seq) {
 				return false
 			}
 		}
-		return f.Len() == len(firsts)
+		for seq := uint64(0); seq < 1024; seq++ {
+			if _, ok := firsts[seq]; ok != s.Has(seq) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -119,18 +113,24 @@ func TestPropertyMarkSeenOnce(t *testing.T) {
 }
 
 // TestDuplicateFilterRejectsSparseSeq pins the dense-seq invariant: a
-// sequence number far outside the dense range must fail loudly instead of
-// growing the bitset toward OOM. Seen (read-only) stays safe.
+// sequence number at or past 1<<26 must fail loudly instead of growing the
+// bitset toward OOM. Has (read-only) stays safe.
 func TestDuplicateFilterRejectsSparseSeq(t *testing.T) {
-	f := NewDuplicateFilter()
-	huge := PacketKey{Origin: 1, Seq: 1 << 40}
-	if f.Seen(huge) {
-		t.Fatal("unmarked huge seq reported seen")
+	var s SeqSet
+	if !s.Add(maxSeq - 1) {
+		t.Fatal("largest dense seq rejected")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MarkSeen with a sparse sequence number did not panic")
+	for _, seq := range []uint64{maxSeq, 1 << 40} {
+		if s.Has(seq) {
+			t.Fatalf("unmarked seq %d reported seen", seq)
 		}
-	}()
-	f.MarkSeen(huge)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Add(%d) did not panic", seq)
+				}
+			}()
+			s.Add(seq)
+		}()
+	}
 }

@@ -197,7 +197,11 @@ type Node struct {
 	channel *phy.Channel
 	rng     *rng.Source
 	deliver DeliveryFunc
-	seen    *core.DuplicateFilter
+	// seen marks the run's broadcasts by seq; origin is their one source,
+	// set by the first mark (hasOrigin).
+	seen      core.SeqSet
+	origin    int
+	hasOrigin bool
 
 	// Energy accounting lives in the Bank shared by the node's Fleet; slot
 	// is this node's account.
@@ -258,7 +262,7 @@ var (
 
 // init (re)initializes the node in place for a new run and registers it
 // with the channel; the node starts awake (simulation begins at a beacon).
-// It reuses every retained allocation: the duplicate filter's bitsets, the
+// It reuses every retained allocation: the first-sight set's words, the
 // pending/announced/tx queues' capacity, the pre-bound CSMA closures, the
 // release-record pool, and the protocol instances. The caller's bank slot
 // must already be sized and reset.
@@ -279,11 +283,8 @@ func (n *Node) init(id topo.NodeID, cfg Config, kernel *sim.Kernel, channel *phy
 	n.slot = slot
 	n.trace = cfg.Trace
 	n.deliver = deliver
-	if n.seen == nil {
-		n.seen = core.NewDuplicateFilter()
-	} else {
-		n.seen.Reset()
-	}
+	n.seen.Clear()
+	n.hasOrigin = false
 	n.awake = true
 	n.dead = false
 	n.depleted = false
@@ -450,8 +451,21 @@ func (n *Node) Broadcast(pkt Packet) {
 	if n.dead {
 		return
 	}
-	n.seen.MarkSeen(pkt.Key) // never re-forward our own packet
+	n.markSeen(pkt.Key) // never re-forward our own packet
 	n.proto.OnOriginate(n, pkt)
+}
+
+// markSeen records a broadcast and reports whether it was new. It runs
+// before any protocol hook, so its checks guard every protocol's state:
+// a second origin in one run panics, as a seq past the dense range does.
+func (n *Node) markSeen(key core.PacketKey) bool {
+	if !n.hasOrigin {
+		n.origin, n.hasOrigin = key.Origin, true
+	} else if key.Origin != n.origin {
+		panic(fmt.Sprintf("mac: node %d saw origin %d after origin %d; a run has one broadcast origin",
+			n.id, key.Origin, n.origin))
+	}
+	return n.seen.Add(key.Seq)
 }
 
 // wakeForTraffic turns the radio on mid-interval (Figure 3: DataToSend
@@ -718,7 +732,7 @@ func (n *Node) Deliver(f phy.Frame) {
 		n.mustStay = true
 	case frameData:
 		n.stats.DataReceived++
-		first := n.seen.MarkSeen(w.pkt.Key)
+		first := n.markSeen(w.pkt.Key)
 		if !first {
 			n.stats.Duplicates++
 		}

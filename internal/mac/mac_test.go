@@ -225,6 +225,24 @@ func TestDuplicatesSuppressed(t *testing.T) {
 	}
 }
 
+// TestSecondOriginPanics: a run has one broadcast origin, which is what
+// lets every protocol index its per-packet state by seq; a node that sees
+// a second origin's broadcast fails loudly.
+func TestSecondOriginPanics(t *testing.T) {
+	cfg := DefaultConfig(core.PSM())
+	h := newHarness(t, 3, 1, cfg, 4)
+	h.kernel.ScheduleAt(0, func() {
+		h.nodes[0].Broadcast(Packet{Key: PacketKeyFor(0, 0)})
+		h.nodes[2].Broadcast(Packet{Key: PacketKeyFor(2, 0)})
+	})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a run with two broadcast origins did not panic")
+		}
+	}()
+	h.run(3 * cfg.Timing.Frame)
+}
+
 func TestAlwaysOnImmediateDelivery(t *testing.T) {
 	// p=1, q=1: forwarding never waits for a beacon; the whole 4-node line
 	// is covered within the first beacon interval.

@@ -66,10 +66,11 @@ func (c AdaptiveConfig) Validate() error {
 type adaptive struct {
 	cfg      AdaptiveConfig
 	params   core.Params
-	activity float64        // EWMA of frames decoded per beacon interval
-	loss     float64        // EWMA of the miss indicator
-	decoded  int            // api.FramesDecoded() at the last beacon
-	lastSeq  map[int]uint64 // per-origin highest sequence delivered
+	activity float64 // EWMA of frames decoded per beacon interval
+	loss     float64 // EWMA of the miss indicator
+	decoded  int     // api.FramesDecoded() at the last beacon
+	lastSeq  uint64  // highest sequence delivered, once seenAny
+	seenAny  bool
 }
 
 func (a *adaptive) Name() string         { return NamePBBF }
@@ -82,10 +83,7 @@ func (a *adaptive) Reset(api NodeAPI, spec Spec) error {
 	a.activity = 0
 	a.loss = a.cfg.LossTarget
 	a.decoded = api.FramesDecoded()
-	if a.lastSeq == nil {
-		a.lastSeq = make(map[int]uint64)
-	}
-	clear(a.lastSeq)
+	a.lastSeq, a.seenAny = 0, false
 	return nil
 }
 
@@ -98,7 +96,7 @@ func (a *adaptive) OnReceive(api NodeAPI, pkt Packet, from topo.NodeID, firstCop
 		return
 	}
 	api.DeliverToApp(pkt, from)
-	a.observeSequence(pkt.Key)
+	a.observeSequence(pkt.Key.Seq)
 	pbbfRoute(api, a.params, pkt)
 }
 
@@ -131,17 +129,18 @@ func (a *adaptive) observeActivity(transmissions int) {
 }
 
 // observeSequence turns a delivered packet into delivery outcomes: every
-// sequence number skipped since the origin's last delivery is a missed
-// broadcast (Section 6: "a node detecting a large fraction of broadcast
-// packets are not being received"), and the packet itself is a success.
-func (a *adaptive) observeSequence(key core.PacketKey) {
-	if last, seen := a.lastSeq[key.Origin]; !seen || key.Seq > last {
-		if seen {
-			for missed := last + 1; missed < key.Seq; missed++ {
+// sequence number skipped since the last delivery is a missed broadcast
+// (Section 6: "a node detecting a large fraction of broadcast packets are
+// not being received"), and the packet itself is a success. A run's
+// broadcasts share one origin, so one sequence history covers them.
+func (a *adaptive) observeSequence(seq uint64) {
+	if !a.seenAny || seq > a.lastSeq {
+		if a.seenAny {
+			for missed := a.lastSeq + 1; missed < seq; missed++ {
 				a.observeDelivery(false)
 			}
 		}
-		a.lastSeq[key.Origin] = key.Seq
+		a.lastSeq, a.seenAny = seq, true
 	}
 	a.observeDelivery(true)
 }

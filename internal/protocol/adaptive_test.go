@@ -104,8 +104,8 @@ func TestAdaptiveStartsFromConfiguredParams(t *testing.T) {
 	if err := a.Reset(node, Spec{Adaptive: &cfg}); err != nil {
 		t.Fatal(err)
 	}
-	if a.params != node.params || len(a.lastSeq) != 0 {
-		t.Fatalf("reset kept state: params %+v, %d origins", a.params, len(a.lastSeq))
+	if a.params != node.params || a.lastSeq != 0 || a.seenAny {
+		t.Fatalf("reset kept state: params %+v, last seq %d (seen any: %v)", a.params, a.lastSeq, a.seenAny)
 	}
 }
 

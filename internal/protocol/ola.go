@@ -36,11 +36,10 @@ const (
 type ola struct {
 	decodeAt float64
 	relayAt  float64
-	// acc banks per-packet accumulated gain until decode; decoded marks
-	// packets past the threshold. Both retain their allocations across
-	// pooled runs.
-	acc     map[core.PacketKey]float64
-	decoded map[core.PacketKey]struct{}
+	// acc banks each packet's gain until decode, and decoded marks packets
+	// past the threshold, both by Key.Seq and kept across pooled runs.
+	acc     []float64
+	decoded core.SeqSet
 }
 
 func (o *ola) Name() string             { return NameOLA }
@@ -58,37 +57,35 @@ func (o *ola) Reset(_ NodeAPI, spec Spec) error {
 	if o.relayAt == 0 {
 		o.relayAt = defaultRelayThreshold
 	}
-	if o.acc == nil {
-		o.acc = make(map[core.PacketKey]float64)
-		o.decoded = make(map[core.PacketKey]struct{})
-	} else {
-		clear(o.acc)
-		clear(o.decoded)
-	}
+	o.acc = o.acc[:0]
+	o.decoded.Clear()
 	return nil
 }
 
 // OnOriginate: the source holds the packet by construction — transmit once
 // and never accumulate against it.
 func (o *ola) OnOriginate(api NodeAPI, pkt Packet) {
-	o.decoded[pkt.Key] = struct{}{}
+	o.decoded.Add(pkt.Key.Seq)
 	api.SendNow(pkt)
 }
 
 // OnReceive accumulates this copy's gain and, on crossing the decode
 // threshold, delivers the packet and applies the boundary relay test.
 func (o *ola) OnReceive(api NodeAPI, pkt Packet, from topo.NodeID, firstCopy bool) {
-	if _, done := o.decoded[pkt.Key]; done {
+	seq := pkt.Key.Seq
+	if o.decoded.Has(seq) {
 		return
+	}
+	for uint64(len(o.acc)) <= seq {
+		o.acc = append(o.acc, 0)
 	}
 	gain := 0.5 + api.Rand().Float64()
-	total := o.acc[pkt.Key] + gain
+	total := o.acc[seq] + gain
 	if total < o.decodeAt {
-		o.acc[pkt.Key] = total
+		o.acc[seq] = total
 		return
 	}
-	o.decoded[pkt.Key] = struct{}{}
-	delete(o.acc, pkt.Key)
+	o.decoded.Add(seq)
 	api.DeliverToApp(pkt, from)
 	if total < o.relayAt {
 		api.SendNow(pkt)
