@@ -92,23 +92,56 @@ func RunAll(scenarios []Scenario, s Scale, workers int) ([]Output, error) {
 // assembled by index, and errors surface from the smallest failing job
 // index, wrapped with the scenario ID and the point's full parameter
 // assignment. Cancelling ctx stops the run after in-flight points drain
-// and returns the context's error.
+// and returns the context's error. It is NewPlan, Plan.Run and the
+// assembly of each scenario's table.
 func RunAllCtx(ctx context.Context, scenarios []Scenario, s Scale, opts RunOptions) ([]Output, error) {
+	p, err := NewPlan(scenarios, s)
+	if err != nil {
+		return nil, err
+	}
+	results, err := p.run(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.assemble(results), nil
+}
+
+// Plan is a validated, enumerated run: the scale, the scenarios and every
+// job of the flattened sweep, fixed before anything is computed. A caller
+// that streams results as they complete (the HTTP run endpoint) plans
+// once, states the job count, and runs the plan without assembling tables.
+type Plan struct {
+	scenarios []Scenario
+	scale     Scale
+	jobs      []job
+	points    [][]Point // per scenario; nil for TableFn scenarios
+}
+
+// job is one unit of a plan: a parameter point, or a TableFn scenario's
+// whole table.
+type job struct {
+	si int // scenario index
+	pi int // point index; -1 runs the scenario's TableFn
+}
+
+// jobOut is one completed job.
+type jobOut struct {
+	table *stats.Table // TableFn jobs
+	res   Result       // point jobs
+}
+
+// NewPlan validates the scale and scenarios and enumerates every job.
+func NewPlan(scenarios []Scenario, s Scale) (*Plan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	type job struct {
-		si int // scenario index
-		pi int // point index; -1 runs the scenario's TableFn
-	}
-	var jobs []job
-	points := make([][]Point, len(scenarios))
+	p := &Plan{scenarios: scenarios, scale: s, points: make([][]Point, len(scenarios))}
 	for si, sc := range scenarios {
 		if err := sc.Validate(); err != nil {
 			return nil, err
 		}
 		if sc.TableFn != nil {
-			jobs = append(jobs, job{si, -1})
+			p.jobs = append(p.jobs, job{si, -1})
 			continue
 		}
 		pts, err := sc.Points(s)
@@ -125,12 +158,26 @@ func RunAllCtx(ctx context.Context, scenarios []Scenario, s Scale, opts RunOptio
 				}
 			}
 		}
-		points[si] = pts
+		p.points[si] = pts
 		for pi := range pts {
-			jobs = append(jobs, job{si, pi})
+			p.jobs = append(p.jobs, job{si, pi})
 		}
 	}
+	return p, nil
+}
 
+// Jobs is the plan's job count: one per parameter point plus one per
+// TableFn scenario.
+func (p *Plan) Jobs() int { return len(p.jobs) }
+
+// Run computes every job, reporting each through opts.OnPoint, and
+// assembles nothing. Its errors are RunAllCtx's.
+func (p *Plan) Run(ctx context.Context, opts RunOptions) error {
+	_, err := p.run(ctx, opts)
+	return err
+}
+
+func (p *Plan) run(ctx context.Context, opts RunOptions) ([]jobOut, error) {
 	// done counts completed jobs; eventMu serializes OnPoint so consumers
 	// never see interleaved or out-of-count events.
 	var (
@@ -143,18 +190,15 @@ func RunAllCtx(ctx context.Context, scenarios []Scenario, s Scale, opts RunOptio
 		}
 		eventMu.Lock()
 		done++
-		ev.Done, ev.Total = done, len(jobs)
+		ev.Done, ev.Total = done, len(p.jobs)
 		opts.OnPoint(ev)
 		eventMu.Unlock()
 	}
 
-	type jobOut struct {
-		table *stats.Table // TableFn jobs
-		res   Result       // point jobs
-	}
-	results, err := sweep.MapCtx(ctx, len(jobs), opts.Workers, func(ctx context.Context, i int) (jobOut, error) {
-		j := jobs[i]
-		sc := scenarios[j.si]
+	s := p.scale
+	return sweep.MapCtx(ctx, len(p.jobs), opts.Workers, func(ctx context.Context, i int) (jobOut, error) {
+		j := p.jobs[i]
+		sc := &p.scenarios[j.si] // the compute closure captures it; no copy
 		if j.pi < 0 {
 			tbl, err := sc.TableFn(s)
 			if err != nil {
@@ -163,7 +207,7 @@ func RunAllCtx(ctx context.Context, scenarios []Scenario, s Scale, opts RunOptio
 			emit(PointEvent{ScenarioID: sc.ID, Index: i, Table: tbl})
 			return jobOut{table: tbl}, nil
 		}
-		pt := points[j.si][j.pi]
+		pt := p.points[j.si][j.pi]
 		compute := func() (Result, error) { return sc.ComputePoint(ctx, s, pt) }
 		var (
 			res      Result
@@ -171,7 +215,7 @@ func RunAllCtx(ctx context.Context, scenarios []Scenario, s Scale, opts RunOptio
 			err      error
 		)
 		if opts.Intercept != nil {
-			res, recorded, err = opts.Intercept(sc, pt, compute)
+			res, recorded, err = opts.Intercept(*sc, pt, compute)
 		} else {
 			res, err = compute()
 		}
@@ -186,22 +230,22 @@ func RunAllCtx(ctx context.Context, scenarios []Scenario, s Scale, opts RunOptio
 		})
 		return jobOut{res: res}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
+}
 
-	outs := make([]Output, len(scenarios))
-	for si, sc := range scenarios {
+// assemble builds each scenario's Output from the plan's completed jobs.
+func (p *Plan) assemble(results []jobOut) []Output {
+	outs := make([]Output, len(p.scenarios))
+	for si, sc := range p.scenarios {
 		outs[si] = Output{Scenario: sc}
 	}
-	for ji, j := range jobs {
+	for ji, j := range p.jobs {
 		out := &outs[j.si]
 		if j.pi < 0 {
 			out.Table = results[ji].table
 			continue
 		}
 		out.Points = append(out.Points, PointOutput{
-			Point:  points[j.si][j.pi],
+			Point:  p.points[j.si][j.pi],
 			Result: results[ji].res,
 		})
 	}
@@ -209,12 +253,12 @@ func RunAllCtx(ctx context.Context, scenarios []Scenario, s Scale, opts RunOptio
 		if outs[si].Table != nil {
 			continue // TableFn scenario
 		}
-		outs[si].Table = assemble(scenarios[si], outs[si].Points)
-		if loc := scenarios[si].Localize; loc != nil {
-			loc(s, outs[si].Table)
+		outs[si].Table = assemble(p.scenarios[si], outs[si].Points)
+		if loc := p.scenarios[si].Localize; loc != nil {
+			loc(p.scale, outs[si].Table)
 		}
 	}
-	return outs, nil
+	return outs
 }
 
 // Label renders the point's coordinates for error and progress messages:

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 )
@@ -56,12 +55,7 @@ func (k Keyer) Key(scenarioID string, pt Point) string {
 // its cached result is stored under.
 func appendSortedParams(b []byte, params map[string]float64, sep byte) []byte {
 	var small [8]string
-	names := small[:0]
-	for name := range params {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	for i, name := range names {
+	for i, name := range sortedParamNames(small[:0], params) {
 		if i > 0 {
 			b = append(b, sep)
 		}

@@ -24,6 +24,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -533,7 +534,8 @@ type RunRequest struct {
 }
 
 // Stream line types. Every NDJSON line carries "type" so clients can
-// dispatch without peeking at other fields.
+// dispatch without peeking at other fields. Point lines are written by
+// appendPointLine.
 type runHeader struct {
 	Type string `json:"type"` // "run"
 	// Identity is the canonical identity the run computed: the resolved
@@ -542,13 +544,6 @@ type runHeader struct {
 	Workers   int `json:"workers"`
 	Scenarios int `json:"scenarios"`
 	Jobs      int `json:"jobs"`
-}
-
-type pointLine struct {
-	Type     string `json:"type"` // "point"
-	Scenario string `json:"scenario"`
-	scenario.PointOutput
-	Cached bool `json:"cached"`
 }
 
 type tableLine struct {
@@ -602,67 +597,63 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-
-	// Count the run's jobs up front so the stream header states the total
-	// before any point lands. Enumeration is cheap (no simulation); a
-	// failure here is reported as a regular status code, not mid-stream.
-	jobs := 0
-	for _, sc := range selected {
-		if sc.TableFn != nil {
-			jobs++
-			continue
-		}
-		pts, err := sc.Points(scale)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, fmt.Errorf("%s: %w", sc.ID, err))
-			return
-		}
-		jobs += len(pts)
+	// Plan the run up front so the stream header states the job count
+	// before any point lands. Planning is cheap (no simulation); a failure
+	// here is reported as a regular status code, not mid-stream.
+	plan, err := scenario.NewPlan(selected, scale)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
 	}
 
 	s.runs.Add(1)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	out := &runStream{enc: json.NewEncoder(w), rc: http.NewResponseController(w)}
+	out := &runStream{w: w, enc: json.NewEncoder(w), buf: make([]byte, 0, 1024), rc: http.NewResponseController(w)}
 	out.write(runHeader{
 		Type:     "run",
 		Identity: scenario.Identity{Experiment: req.Experiment, Knobs: knobs},
-		Workers:  workers, Scenarios: len(selected), Jobs: jobs,
+		Workers:  workers, Scenarios: len(selected), Jobs: plan.Jobs(),
 	})
 
 	// Stream results in deterministic enumeration order: OnPoint delivers
 	// completion order, the reorder buffer holds early finishers until
 	// their predecessors land. OnPoint calls are serialized by the engine,
-	// so the buffer needs no locking.
+	// so the buffer needs no locking. A point line that cannot be encoded
+	// (a non-finite result) ends the stream: the run is cancelled and its
+	// error line replaces every later line.
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	var lineErr error
 	cachedPoints := 0
 	next := 0
-	pending := make(map[int]any)
+	pending := make([]scenario.PointEvent, plan.Jobs())
 	emit := func(ev scenario.PointEvent) {
-		var line any
-		if ev.Point != nil {
-			line = pointLine{Type: "point", Scenario: ev.ScenarioID, PointOutput: *ev.Point, Cached: ev.Cached}
-		} else {
-			line = tableLine{Type: "table", Scenario: ev.ScenarioID, Table: ev.Table}
-		}
-		pending[ev.Index] = line
+		pending[ev.Index] = ev
 		if ev.Cached {
 			cachedPoints++
 		}
 		s.pointsServed.Add(1)
-		for {
-			line, ok := pending[next]
-			if !ok {
+		for ; lineErr == nil && next < len(pending); next++ {
+			ev := &pending[next]
+			switch {
+			case ev.Point != nil:
+				if err := out.writePoint(ev.ScenarioID, ev.Point, ev.Cached); err != nil {
+					lineErr = fmt.Errorf("%s: point %s: %w", ev.ScenarioID, ev.Point.Label(), err)
+					cancel()
+				}
+			case ev.Table != nil:
+				out.write(tableLine{Type: "table", Scenario: ev.ScenarioID, Table: ev.Table})
+			default:
 				return
 			}
-			delete(pending, next)
-			next++
-			out.write(line)
+			*ev = scenario.PointEvent{} // written; let the point go
 		}
 	}
 
 	keyer := scenario.NewKeyer(scale)
 	start := time.Now()
-	_, err = scenario.RunAllCtx(r.Context(), selected, scale, scenario.RunOptions{
+	err = plan.Run(ctx, scenario.RunOptions{
 		Workers: workers,
 		Intercept: func(sc scenario.Scenario, pt scenario.Point, compute func() (scenario.Result, error)) (scenario.Result, bool, error) {
 			waited := false
@@ -677,6 +668,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		},
 		OnPoint: emit,
 	})
+	if lineErr != nil {
+		err = lineErr
+	}
 	if err != nil {
 		// The stream already committed status 200; the error travels as
 		// the final NDJSON line instead.
@@ -684,7 +678,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out.write(doneLine{
-		Type: "done", Jobs: jobs, CachedPoints: cachedPoints,
+		Type: "done", Jobs: plan.Jobs(), CachedPoints: cachedPoints,
 		WallMS: float64(time.Since(start).Microseconds()) / 1000,
 		Cache:  s.cacheStats(),
 		Store:  s.results.Stats(),
@@ -706,17 +700,54 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // line writes and flushes share mu.
 type runStream struct {
 	mu      sync.Mutex
-	enc     *json.Encoder
+	w       io.Writer
+	enc     *json.Encoder // the run, table, done and error lines
+	buf     []byte        // point lines, encoded by hand
 	rc      *http.ResponseController
 	waiting int  // the run's points blocked on a computation now
 	dirty   bool // lines written since the last flush
 }
 
-// write encodes one line, flushing it at once while a point is blocked.
+// write encodes one line with encoding/json.
 func (st *runStream) write(v any) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.enc.Encode(v) //nolint:errcheck // a dead client surfaces via ctx
+	st.wroteLocked()
+}
+
+// writePoint writes one point line, the bytes encoding/json writes for
+// pointLine, and fails without writing when the point or its result has
+// a non-finite number.
+func (st *runStream) writePoint(id string, po *scenario.PointOutput, cached bool) error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	b, err := appendPointLine(st.buf[:0], id, po, cached)
+	if err != nil {
+		return err
+	}
+	st.buf = b
+	st.w.Write(b) //nolint:errcheck // a dead client surfaces via ctx
+	st.wroteLocked()
+	return nil
+}
+
+// appendPointLine appends the NDJSON point line of po, newline included.
+func appendPointLine(b []byte, id string, po *scenario.PointOutput, cached bool) ([]byte, error) {
+	b = scenario.AppendJSONString(append(b, `{"type":"point","scenario":`...), id)
+	b, err := po.Point.AppendJSONFields(append(b, ','))
+	if err != nil {
+		return nil, err
+	}
+	if b, err = po.Result.AppendJSON(append(b, `,"result":`...)); err != nil {
+		return nil, err
+	}
+	return append(strconv.AppendBool(append(b, `,"cached":`...), cached), "}\n"...), nil
+}
+
+// wroteLocked marks the stream dirty, flushing it at once while a point
+// is blocked.
+func (st *runStream) wroteLocked() {
 	st.dirty = true
 	if st.waiting > 0 {
 		st.flushLocked()

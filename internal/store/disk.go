@@ -195,7 +195,8 @@ func appendSum(b []byte, sum uint64) []byte {
 
 // resultSum is the checksum of a record's payload, as the record stores it.
 func resultSum(res scenario.Result) (string, error) {
-	payload, err := json.Marshal(res)
+	var pbuf [512]byte
+	payload, err := res.AppendJSON(pbuf[:0])
 	if err != nil {
 		return "", err
 	}
@@ -216,9 +217,9 @@ const (
 // scaleKey) carries before its result payload.
 func appendRecordHead(b []byte, key, id, scaleKey string) []byte {
 	b = strconv.AppendInt(append(b, `{"version":`...), DiskVersion, 10)
-	b = appendJSONString(append(b, `,"key":`...), key)
-	b = appendJSONString(append(b, `,"scenario":`...), id)
-	b = appendJSONString(append(b, `,"scale":`...), scaleKey)
+	b = scenario.AppendJSONString(append(b, `,"key":`...), key)
+	b = scenario.AppendJSONString(append(b, `,"scenario":`...), id)
+	b = scenario.AppendJSONString(append(b, `,"scale":`...), scaleKey)
 	return append(b, `,"result":`...)
 }
 
@@ -228,41 +229,17 @@ func appendRecordTail(b []byte, sum uint64) []byte {
 	return append(appendSum(append(b, sumField...), sum), "\"}\n"...)
 }
 
-// appendJSONString appends s as a JSON string quoted byte for byte the way
-// encoding/json quotes it. A string that needs no escaping — every key
-// the registry mints, non-ASCII series labels included — is copied
-// between quotes; any other (one with control bytes, '"', '\\', the HTML
-// escapes '<', '>' and '&', U+2028/U+2029 or invalid UTF-8) is quoted by
-// encoding/json itself.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return appendMarshalled(b, s)
-		}
-	}
-	if !utf8.ValidString(s) || strings.Contains(s, "\u2028") || strings.Contains(s, "\u2029") {
-		return appendMarshalled(b, s)
-	}
-	return append(append(append(b, '"'), s...), '"')
-}
-
-// appendMarshalled appends json.Marshal(s), which cannot fail for a string.
-func appendMarshalled(b []byte, s string) []byte {
-	q, _ := json.Marshal(s)
-	return append(b, q...)
-}
-
 // encodeRecord appends the complete record file for res under key: the
 // bytes json.Marshal(record{...}) plus a newline would produce, with the
-// result marshalled once for both the payload and its checksum.
+// result encoded once, in place, for both the payload and its checksum.
 func encodeRecord(b []byte, key, id, scaleKey string, res scenario.Result) ([]byte, error) {
-	payload, err := json.Marshal(res)
+	b = appendRecordHead(b, key, id, scaleKey)
+	start := len(b)
+	b, err := res.AppendJSON(b)
 	if err != nil {
 		return nil, err
 	}
-	b = appendRecordHead(b, key, id, scaleKey)
-	b = append(b, payload...)
-	return appendRecordTail(b, payloadSum(payload)), nil
+	return appendRecordTail(b, payloadSum(b[start:])), nil
 }
 
 // decodeCanonical is Get's fast path: it accepts data only when it is
@@ -295,15 +272,7 @@ func decodeCanonical(data []byte, key string) (scenario.Result, bool) {
 	if !bytes.Equal(data[len(data)-tailLen:], appendRecordTail(tail[:0], payloadSum(payload))) {
 		return scenario.Result{}, false
 	}
-	var res scenario.Result
-	if err := json.Unmarshal(payload, &res); err != nil {
-		return scenario.Result{}, false
-	}
-	canon, err := json.Marshal(&res) // res already escapes to Unmarshal; no second copy
-	if err != nil || !bytes.Equal(canon, payload) {
-		return scenario.Result{}, false
-	}
-	return res, true
+	return scenario.ParseResultJSON(payload)
 }
 
 // readPool recycles Get's read buffers; records are well under a
