@@ -18,11 +18,18 @@ import (
 type Bank struct {
 	profile  Profile
 	accounts []account
-	// lastDT and lastSecs memoize the most recent interval's length in
-	// seconds: a beacon closes the same interval on node after node, and
-	// dt.Seconds() divides in floating point.
-	lastDT   time.Duration
-	lastSecs float64
+	// secs memoizes the two most recently used interval lengths in
+	// seconds, most recent first: dt.Seconds() divides in floating point,
+	// and a beacon closes one of two intervals on node after node, a
+	// sleeper's since the last beacon and an awake node's since its last
+	// switch, in alternation.
+	secs [2]seconds
+}
+
+// seconds is one memoized dt.Seconds().
+type seconds struct {
+	dt   time.Duration
+	secs float64
 }
 
 // account is one node's slot: Meter's fields without the shared profile.
@@ -89,10 +96,17 @@ func (b *Bank) accrue(a *account, now time.Duration) {
 		now = a.since
 	}
 	dt := now - a.since
-	if dt != b.lastDT {
-		b.lastDT, b.lastSecs = dt, dt.Seconds()
+	var secs float64
+	switch dt {
+	case b.secs[0].dt:
+		secs = b.secs[0].secs
+	case b.secs[1].dt:
+		secs = b.secs[1].secs
+		b.secs[0], b.secs[1] = b.secs[1], b.secs[0]
+	default:
+		secs = dt.Seconds()
+		b.secs[1], b.secs[0] = b.secs[0], seconds{dt, secs}
 	}
-	secs := b.lastSecs
 	power := b.profile.Power(a.state)
 	a.joules += power * secs
 	if a.capacity > 0 {

@@ -145,6 +145,44 @@ func TestBankMatchesMeterFinite(t *testing.T) {
 	}
 }
 
+// At a beacon, nodes close intervals of two lengths in alternation (a
+// sleeper's since the last beacon, an awake node's since its last
+// switch), with an odd length now and then. Every slot must still match a
+// Meter fed the same changes, bit for bit.
+func TestBankMatchesMeterAlternatingIntervals(t *testing.T) {
+	cfg := Config{Profile: Mica2(), Initial: Sleep, Budget: Budget{CapacityJ: 40, HarvestW: 1e-3}}
+	const nodes = 6
+	b := NewBank()
+	b.Init(nodes, cfg)
+	meters := make([]*Meter, nodes)
+	for i := range meters {
+		meters[i] = New(cfg)
+	}
+	lengths := []time.Duration{9*time.Second + 123457, 10*time.Second - 98765, 3*time.Second + 7}
+	var since [nodes]time.Duration
+	for round := 0; round < 40; round++ {
+		for i := 0; i < nodes; i++ {
+			dt := lengths[(i+round)%2]
+			if (i+round)%5 == 0 {
+				dt = lengths[2]
+			}
+			since[i] += dt
+			s := State(1 + (i+round)%4)
+			meters[i].SetState(s, since[i])
+			b.SetState(i, s, since[i])
+		}
+	}
+	for i, m := range meters {
+		at := since[i] + time.Second
+		if mj, bj := m.EnergyAt(at), b.EnergyAt(i, at); mj != bj {
+			t.Fatalf("node %d: meter %v J != bank %v J", i, mj, bj)
+		}
+		if mr, br := m.RemainingAt(at), b.RemainingAt(i, at); mr != br {
+			t.Fatalf("node %d: meter remaining %v != bank remaining %v", i, mr, br)
+		}
+	}
+}
+
 func TestBankSetBudgetPerNode(t *testing.T) {
 	b := NewBank()
 	b.Init(2, Config{Profile: Mica2(), Initial: Idle})

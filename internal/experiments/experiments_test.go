@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -536,5 +538,70 @@ func TestExtCorridorLatencyGrowsWithAspect(t *testing.T) {
 	psm := seriesY(t, "extcorridor", "PSM", s)
 	if psm[8] <= psm[1] {
 		t.Fatalf("PSM latency did not grow with corridor aspect: %v -> %v", psm[1], psm[8])
+	}
+}
+
+// TestPointResultsDependOnParamsAlone guards the contract the engine's
+// repeat de-duplication rests on: a point's result depends only on the
+// scale and its Params. Every point the engine returns, repeats included,
+// must equal a direct ComputePoint of that point, which is how the dist
+// worker and `pbbf trace` compute one.
+func TestPointResultsDependOnParamsAlone(t *testing.T) {
+	s := scenario.Quick()
+	s.Seed = 1
+	outs, err := scenario.RunAll(Registry().All(), s, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, out := range outs {
+		for _, po := range out.Points {
+			got, err := out.Scenario.ComputePoint(context.Background(), s, po.Point)
+			if err != nil {
+				t.Fatalf("%s: %v", out.Scenario.ID, err)
+			}
+			if got != po.Result {
+				t.Fatalf("%s: point %s: engine %+v, direct %+v", out.Scenario.ID, po.Point.Label(), po.Result, got)
+			}
+		}
+	}
+}
+
+// TestRepeatedPointCounts pins how many registry points repeat an earlier
+// point's Series and Params, and so are computed once per plan: the PSM
+// and NO PSM baselines of the q-sweeps, enumerated at every q.
+func TestRepeatedPointCounts(t *testing.T) {
+	var computes atomic.Int64
+	var scs []scenario.Scenario
+	for _, sc := range Registry().All() {
+		if !sc.PointBased() {
+			continue
+		}
+		sc.RunPoint = func(scenario.Scale, scenario.Point) (scenario.Result, error) {
+			computes.Add(1)
+			return scenario.Result{}, nil
+		}
+		sc.RunPointCtx = nil
+		scs = append(scs, sc)
+	}
+	for _, c := range []struct {
+		s                Scale
+		points, computes int64
+	}{
+		{scenario.Quick(), 475, 395},
+		{scenario.Bench(), 316, 276},
+		{scenario.Paper(), 1047, 847},
+	} {
+		computes.Store(0)
+		outs, err := scenario.RunAll(scs, c.s, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var points int64
+		for _, out := range outs {
+			points += int64(len(out.Points))
+		}
+		if points != c.points || computes.Load() != c.computes {
+			t.Fatalf("%d points, %d computed; want %d and %d", points, computes.Load(), c.points, c.computes)
+		}
 	}
 }

@@ -282,7 +282,7 @@ func extTMACScenario() scenario.Scenario {
 			res, err := runIdealPoint(s, func(cfg *idealsim.Config) {
 				cfg.Params = core.Params{P: pt.Params["p"], Q: pt.Params["q"]}
 				cfg.ExtendOnReceive = extend
-				cfg.Seed = pointSeed(s.Seed, 107, fbits(pt.X), uint64(extend))
+				cfg.Seed = pointSeed(s.Seed, 107, fbits(cfg.Params.Q), uint64(extend))
 			})
 			if err != nil {
 				return scenario.Result{}, err

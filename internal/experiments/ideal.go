@@ -79,7 +79,7 @@ func idealQSweep(id, artifact, title, summary, ylabel string, tag uint64,
 			res, err := runIdealPoint(s, func(cfg *idealsim.Config) {
 				cfg.Params = core.Params{P: pt.Params["p"], Q: pt.Params["q"]}
 				cfg.TrackHopDistances = track(s)
-				cfg.Seed = pointSeed(s.Seed, tag, fbits(cfg.Params.P), fbits(pt.X))
+				cfg.Seed = pointSeed(s.Seed, tag, fbits(cfg.Params.P), fbits(cfg.Params.Q))
 			})
 			if err != nil {
 				return scenario.Result{}, err

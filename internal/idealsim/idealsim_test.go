@@ -2,6 +2,7 @@ package idealsim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -271,6 +272,26 @@ func TestSeedsChangeOutcomes(t *testing.T) {
 	if a.PerHopLatency.Mean() == b.PerHopLatency.Mean() &&
 		a.MeanCoverage() == b.MeanCoverage() {
 		t.Fatal("different seeds produced identical stochastic outcomes")
+	}
+}
+
+// TestBaselinesIgnoreSeed pins why the PSM and NO PSM points of a q-sweep
+// may share one computation: with p and q at 0 or 1 every coin is decided
+// without the seed, so the seed cannot change a baseline's result.
+func TestBaselinesIgnoreSeed(t *testing.T) {
+	for _, params := range []core.Params{core.PSM(), core.AlwaysOn()} {
+		run := func(seed uint64) *Result {
+			cfg := testConfig(12, 12, params, seed)
+			cfg.TrackHopDistances = []int{3}
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		if a, b := run(1), run(0x9e3779b97f4a7c15); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: results differ between seeds", params.Label())
+		}
 	}
 }
 

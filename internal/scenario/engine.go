@@ -3,6 +3,8 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"pbbf/internal/stats"
@@ -55,10 +57,13 @@ type RunOptions struct {
 	// Intercept, when non-nil, wraps every point computation. It may
 	// return a previously recorded result (recorded=true) instead of
 	// calling compute — the hook behind the result cache and resumable
-	// checkpoints. It is called concurrently from worker goroutines and
-	// must be safe for concurrent use. TableFn jobs are deliberately not
-	// intercepted: the static/analytic artifacts (Table 1/2, closed-form
-	// curves) are sub-millisecond and recompute on every run.
+	// checkpoints. A repeated point (see Scenario) passes through it like
+	// any other, but its compute returns the result its leader got from
+	// Intercept, recorded or computed, instead of simulating again. It is
+	// called concurrently from worker goroutines and must be safe for
+	// concurrent use. TableFn jobs are deliberately not intercepted: the
+	// static/analytic artifacts (Table 1/2, closed-form curves) are
+	// sub-millisecond and recompute on every run.
 	Intercept func(sc Scenario, pt Point, compute func() (Result, error)) (res Result, recorded bool, err error)
 	// OnPoint, when non-nil, is invoked after each job completes. Calls
 	// are serialized by the engine (no locking needed inside) but arrive
@@ -122,6 +127,20 @@ type Plan struct {
 type job struct {
 	si int // scenario index
 	pi int // point index; -1 runs the scenario's TableFn
+	// lead is the job whose result this job's point computation returns:
+	// the job itself, or for a repeat the scenario's first point with the
+	// same Series and Params. A point's result depends only on the scale
+	// and its Params (see Scenario), so a repeat differs from its leader
+	// only in its labels.
+	lead int
+}
+
+// share carries a leader's result, recorded or computed, to its repeats.
+// res and err are written once, before done is closed.
+type share struct {
+	done chan struct{}
+	res  Result
+	err  error
 }
 
 // jobOut is one completed job.
@@ -141,7 +160,7 @@ func NewPlan(scenarios []Scenario, s Scale) (*Plan, error) {
 			return nil, err
 		}
 		if sc.TableFn != nil {
-			p.jobs = append(p.jobs, job{si, -1})
+			p.jobs = append(p.jobs, job{si, -1, len(p.jobs)})
 			continue
 		}
 		pts, err := sc.Points(s)
@@ -159,11 +178,31 @@ func NewPlan(scenarios []Scenario, s Scale) (*Plan, error) {
 			}
 		}
 		p.points[si] = pts
+		base := len(p.jobs)
+		p.jobs = slices.Grow(p.jobs, len(pts))
 		for pi := range pts {
-			p.jobs = append(p.jobs, job{si, pi})
+			p.jobs = append(p.jobs, job{si, pi, base + leader(pts, pi)})
 		}
 	}
 	return p, nil
+}
+
+// leader returns the index of the first of pts whose Series and Params
+// equal pts[i]'s, or i itself when none does. A match with pts[i]'s X
+// too is the same point under the same PointKey, not a repeat: that is
+// left to the Intercept's own de-duplication, which would otherwise make
+// the leader wait on its repeat's in-flight computation.
+func leader(pts []Point, i int) int {
+	pt := pts[i]
+	for qi, q := range pts[:i] {
+		if q.Series == pt.Series && maps.Equal(q.Params, pt.Params) {
+			if q.X == pt.X {
+				return i
+			}
+			return qi
+		}
+	}
+	return i
 }
 
 // Jobs is the plan's job count: one per parameter point plus one per
@@ -195,6 +234,18 @@ func (p *Plan) run(ctx context.Context, opts RunOptions) ([]jobOut, error) {
 		eventMu.Unlock()
 	}
 
+	// Each leader with repeats hands its result to them through a share;
+	// a plan without repeats allocates nothing here.
+	var shares map[int]*share
+	for i, j := range p.jobs {
+		if j.lead != i && shares[j.lead] == nil {
+			if shares == nil {
+				shares = make(map[int]*share)
+			}
+			shares[j.lead] = &share{done: make(chan struct{})}
+		}
+	}
+
 	s := p.scale
 	return sweep.MapCtx(ctx, len(p.jobs), opts.Workers, func(ctx context.Context, i int) (jobOut, error) {
 		j := p.jobs[i]
@@ -208,7 +259,22 @@ func (p *Plan) run(ctx context.Context, opts RunOptions) ([]jobOut, error) {
 			return jobOut{table: tbl}, nil
 		}
 		pt := p.points[j.si][j.pi]
-		compute := func() (Result, error) { return sc.ComputePoint(ctx, s, pt) }
+		var compute func() (Result, error)
+		if j.lead == i {
+			compute = func() (Result, error) { return sc.ComputePoint(ctx, s, pt) }
+		} else {
+			// The leader has the smaller index, so a worker claimed it
+			// first and it finishes without waiting on this job.
+			sh := shares[j.lead]
+			compute = func() (Result, error) {
+				select {
+				case <-sh.done:
+					return sh.res, sh.err
+				case <-ctx.Done():
+					return Result{}, ctx.Err()
+				}
+			}
+		}
 		var (
 			res      Result
 			recorded bool
@@ -218,6 +284,10 @@ func (p *Plan) run(ctx context.Context, opts RunOptions) ([]jobOut, error) {
 			res, recorded, err = opts.Intercept(*sc, pt, compute)
 		} else {
 			res, err = compute()
+		}
+		if sh := shares[i]; sh != nil {
+			sh.res, sh.err = res, err
+			close(sh.done)
 		}
 		if err != nil {
 			return jobOut{}, fmt.Errorf("%s: point %s: %w", sc.ID, pt.Label(), err)

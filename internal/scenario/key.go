@@ -10,8 +10,9 @@ import (
 // the scenario ID, the complete scale (including the seed), and the
 // point's series, x, and full parameter assignment with sorted keys. Two
 // identical keys denote the same pure computation — RunPoint derives all
-// randomness from the scale seed and the point coordinates — so the key is
-// safe to use for cross-request result caching and resumable checkpoints.
+// randomness from the scale seed and the point's parameters — so the key
+// is safe to use for cross-request result caching and resumable
+// checkpoints.
 // Callers keying many points of one scale should mint them from one
 // Keyer instead, which serializes the scale once.
 func PointKey(scenarioID string, s Scale, pt Point) string {

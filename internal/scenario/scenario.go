@@ -85,6 +85,13 @@ type Result struct {
 // parallelizes per parameter point, or TableFn for artifacts that are
 // static or analytic (Table 1/2, closed-form curves) and produce their
 // table directly.
+//
+// A point's result depends only on the Scale and the point's Params; its
+// Series and X are labels that place the result in the table. The engine
+// relies on this: a point whose Series and Params equal an earlier point
+// of the same scenario (the PSM and NO PSM baselines a q-sweep draws at
+// every q) is computed once per plan, and each repeat returns that
+// computation's result under its own labels.
 type Scenario struct {
 	// ID is the short handle used by the CLI ("fig4", "table1", ...).
 	ID string `json:"id"`
@@ -108,8 +115,9 @@ type Scenario struct {
 
 	// Points enumerates the parameter space at the given scale.
 	Points func(Scale) ([]Point, error) `json:"-"`
-	// RunPoint simulates one point. It must derive all randomness from
-	// Scale.Seed (via PointSeed) so points are order-independent.
+	// RunPoint simulates one point. It reads the point's Params, never
+	// its Series or X, and derives all randomness from Scale.Seed and the
+	// Params (via PointSeed) so points are order-independent.
 	RunPoint func(Scale, Point) (Result, error) `json:"-"`
 	// RunPointCtx is RunPoint for scenarios that read the run's context —
 	// the netsim scenarios, which take their per-run trace sink from a

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -10,7 +11,7 @@ import (
 
 // Memory is the in-memory Store backend: completed results in a sharded
 // LRU. The key space is split across independently locked shards by
-// FNV-1a hash, and each shard bounds its entry count with LRU eviction.
+// shardHash, and each shard bounds its entry count with LRU eviction.
 // It is the fast tier of a Tiered store and the whole store of a server
 // running without a -store directory. Memory holds only completed
 // results; concurrent computes of one key are de-duplicated by Flight.
@@ -60,7 +61,7 @@ func NewMemory(shards, capacity int) (*Memory, error) {
 }
 
 func (m *Memory) shardFor(key string) *memShard {
-	return &m.shards[fnv1a(key)%uint64(len(m.shards))]
+	return &m.shards[shardHash(key)%uint64(len(m.shards))]
 }
 
 // Get returns the result stored under key, marking it most recently used.
@@ -171,13 +172,26 @@ func (sh *memShard) moveToFront(e *memEntry) {
 	sh.pushFront(e)
 }
 
-// fnv1a is the 64-bit FNV-1a hash, inlined to keep key->shard routing
-// allocation-free.
-func fnv1a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
+// shardHash routes a key to its shard. It reads the key eight bytes at a
+// time, since a PointKey is a couple of hundred bytes and every Get and
+// Put routes one. The hash is fixed, unlike maphash's per-process seed,
+// so every process spreads (and evicts) the same keys the same way.
+func shardHash(s string) uint64 {
+	const (
+		k1 = 0x9e3779b97f4a7c15
+		k2 = 0xc2b2ae3d27d4eb4f
+	)
+	h := uint64(len(s)) * k1
+	for ; len(s) >= 8; s = s[8:] {
+		w := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+		h = bits.RotateLeft64(h^(w*k2), 31) * k1
 	}
-	return h
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * k1
+	}
+	// Fold the high bits down: the shard index is h modulo a small count.
+	h ^= h >> 32
+	h *= k2
+	return h ^ h>>29
 }

@@ -102,18 +102,39 @@ func TestMemoryShardDistribution(t *testing.T) {
 	counts := make([]int, shards)
 	const keys = 4096
 	for i := 0; i < keys; i++ {
-		counts[fnv1a(fmt.Sprintf("fig%d|scale|x=%d", i%20, i))%shards]++
+		counts[shardHash(fmt.Sprintf("fig%d|scale|x=%d", i%20, i))%shards]++
 	}
-	// FNV over realistic keys should spread well; allow generous slack
+	// The hash over realistic keys should spread well; allow generous slack
 	// around the ideal keys/shards to keep the test robust.
 	for i, n := range counts {
 		if n < keys/shards/2 || n > keys/shards*2 {
 			t.Fatalf("shard %d holds %d of %d keys (counts %v)", i, n, keys, counts)
 		}
 	}
+	// Real PointKeys share a couple of hundred bytes of scale segment and
+	// differ in the last few words: fig17's points over 24 seeds.
+	clear(counts)
+	realKeys := 0
+	for seed := uint64(1); seed <= 24; seed++ {
+		s := scenario.Quick()
+		s.Seed = seed
+		k := scenario.NewKeyer(s)
+		for _, p := range []float64{0, 0.05, 0.25, 0.5} {
+			for _, delta := range []float64{6, 10, 14} {
+				pt := scenario.Point{Series: "s", X: delta, Params: map[string]float64{"delta": delta, "p": p, "q": 0.25}}
+				counts[shardHash(k.Key("fig17", pt))%shards]++
+				realKeys++
+			}
+		}
+	}
+	for i, n := range counts {
+		if n < realKeys/shards/2 || n > realKeys/shards*2 {
+			t.Fatalf("shard %d holds %d of %d PointKeys (counts %v)", i, n, realKeys, counts)
+		}
+	}
 	// A key lands on the shard its hash names.
 	m.Put("fig8|quick|x=1", scenario.Result{})
-	sh := &m.shards[fnv1a("fig8|quick|x=1")%shards]
+	sh := &m.shards[shardHash("fig8|quick|x=1")%shards]
 	if _, ok := sh.entries["fig8|quick|x=1"]; !ok {
 		t.Fatal("key stored outside its hash shard")
 	}

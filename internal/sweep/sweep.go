@@ -21,7 +21,9 @@ import (
 // Cancellation takes precedence over point errors, so a cancelled run
 // reports why it stopped rather than whichever point happened to fail while
 // the pool wound down. fn receives ctx so long-running points can observe
-// cancellation themselves.
+// cancellation themselves. Workers claim indices in increasing order, so
+// an invocation may wait on one with a smaller index: that one has
+// already been claimed and runs to completion.
 func MapCtx[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("sweep: nil context")
