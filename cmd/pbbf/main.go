@@ -10,7 +10,7 @@
 //	pbbf -experiment all -scale paper -format csv
 //	pbbf -experiment all -scale quick -format json
 //	pbbf bench -out BENCH.json
-//	pbbf bench -out BENCH_new.json -baseline BENCH.json -threshold 0.30
+//	pbbf bench -out BENCH_new.json -baseline BENCH.json
 //	pbbf trace -scenario extcompare -point 1 -runs 1 -events packet,radio
 //	pbbf sweep -experiment all -scale paper -checkpoint paper.ckpt.json
 //	pbbf sweep -experiment all -scale paper -distribute :8099 -format json
@@ -29,10 +29,11 @@
 // sweep archives).
 //
 // The bench subcommand runs every registered scenario sequentially at the
-// bench scale, writes the machine-readable report (wall time, ns/point,
-// allocations, events fired per scenario), and — when -baseline is given —
-// exits non-zero if any scenario regressed more than -threshold against
-// it. See docs/BENCHMARKS.md.
+// bench scale, writes the machine-readable report (kernel events fired,
+// allocations per point, and wall time per scenario), and — when -baseline
+// is given — exits non-zero if any scenario fires more kernel events or
+// allocates more per point than the baseline. Wall time is reported, not
+// gated. See docs/BENCHMARKS.md.
 //
 // The trace subcommand runs one parameter point with the event-level
 // recorder attached and streams the result as deterministic NDJSON: a
@@ -74,7 +75,6 @@ import (
 	"pbbf/internal/bench"
 	"pbbf/internal/experiments"
 	"pbbf/internal/scenario"
-	"pbbf/internal/trace"
 )
 
 func main() {
@@ -159,8 +159,8 @@ func runCtx(ctx context.Context, args []string, out, errOut io.Writer) error {
 }
 
 // runBench implements the bench subcommand: measure every registered
-// scenario at the bench scale, write the report, and optionally gate
-// against a baseline.
+// scenario at the bench scale, write the report, and optionally gate its
+// counts against a baseline.
 func runBench(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("pbbf bench", flag.ContinueOnError)
 	fs.SetOutput(out)
@@ -168,13 +168,9 @@ func runBench(args []string, out io.Writer) error {
 		outPath   = fs.String("out", "BENCH.json", "path to write the benchmark report")
 		scaleName = fs.String("scale", "bench", "scenario scale to benchmark at")
 		seed      = fs.Uint64("seed", 1, "root random seed")
-		workers   = fs.Int("workers", 1, "sweep worker-pool size (1 = scheduler-independent timings)")
-		repeats   = fs.Int("repeats", bench.DefaultRepeats, "measurements per scenario; the fastest is recorded")
-		baseline  = fs.String("baseline", "", "baseline report to compare against (empty = no gate)")
-		threshold = fs.Float64("threshold", 0.30, "per-scenario ns/point and allocs/point regression tolerance vs the baseline")
+		workers   = fs.Int("workers", 1, "sweep worker-pool size (1 = exact allocation counts)")
+		baseline  = fs.String("baseline", "", "baseline report whose kernel events and allocs/point gate this run (empty = no gate)")
 		heapOut   = fs.String("heap-profile", "", "write a pprof heap profile here after the run (empty = none)")
-		traceSink = fs.String("trace", "", "attach the event recorder to every run: \"discard\" records a fully-instrumented report for manual comparison (-overhead-gate is the CI gate); empty = untraced")
-		overhead  = fs.Float64("overhead-gate", 0, "measure tracing overhead with interleaved untraced/traced pairs and fail any scenario whose traced arm is more than this fraction slower (0 = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -190,15 +186,6 @@ func runBench(args []string, out io.Writer) error {
 	if *workers <= 0 {
 		return fmt.Errorf("workers must be positive, got %d", *workers)
 	}
-	if *repeats <= 0 {
-		return fmt.Errorf("repeats must be positive, got %d", *repeats)
-	}
-	if *threshold <= 0 {
-		return fmt.Errorf("threshold must be positive, got %v", *threshold)
-	}
-	if *overhead < 0 {
-		return fmt.Errorf("overhead-gate must be non-negative, got %v", *overhead)
-	}
 	if *outPath == "" {
 		return fmt.Errorf("missing -out path")
 	}
@@ -212,67 +199,11 @@ func runBench(args []string, out io.Writer) error {
 		}
 	}
 
-	var provider trace.Provider
-	switch *traceSink {
-	case "":
-	case "discard":
-		provider = trace.DiscardProvider
-	default:
-		return fmt.Errorf("bench: unknown -trace sink %q (want \"discard\" or empty)", *traceSink)
-	}
-
-	// Overhead-gate mode replaces the normal report: interleaved
-	// untraced/traced pairs in this one process, gated on the ratio. Two
-	// separate invocations can't gate tracing cost tightly — machine drift
-	// between them exceeds any honest bound on the instrumentation itself.
-	if *overhead > 0 {
-		if *baseline != "" || *traceSink != "" {
-			return fmt.Errorf("bench: -overhead-gate measures both arms itself; drop -baseline/-trace")
-		}
-		orep, err := bench.RunOverhead(experiments.Registry().All(), bench.Config{
-			Scale:     scale,
-			ScaleName: *scaleName,
-			Workers:   *workers,
-			Repeats:   *repeats,
-			Progress:  out,
-		})
-		if err != nil {
-			return err
-		}
-		// Only write a report where one was asked for: the default -out
-		// names the BENCH.json schema, which this mode does not produce.
-		explicitOut := false
-		fs.Visit(func(f *flag.Flag) { explicitOut = explicitOut || f.Name == "out" })
-		if explicitOut {
-			if err := orep.WriteFile(*outPath); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s: %d scenarios\n", *outPath, len(orep.Results))
-		}
-		var over []bench.OverheadResult
-		for _, r := range orep.Results {
-			if r.Gated && r.Ratio > 1+*overhead {
-				over = append(over, r)
-			}
-		}
-		if len(over) == 0 {
-			fmt.Fprintf(out, "tracing overhead within %.0f%% on every gated scenario\n", *overhead*100)
-			return nil
-		}
-		for _, r := range over {
-			fmt.Fprintf(out, "TRACE OVERHEAD %-12s %d -> %d CPU ns/pt (%.2fx)\n",
-				r.ID, r.UntracedCPUNSPerPoint, r.TracedCPUNSPerPoint, r.Ratio)
-		}
-		return fmt.Errorf("%d scenario(s) exceed the %.0f%% tracing-overhead gate", len(over), *overhead*100)
-	}
-
 	rep, err := bench.Run(experiments.Registry().All(), bench.Config{
-		Scale:         scale,
-		ScaleName:     *scaleName,
-		Workers:       *workers,
-		Repeats:       *repeats,
-		Progress:      out,
-		TraceProvider: provider,
+		Scale:     scale,
+		ScaleName: *scaleName,
+		Workers:   *workers,
+		Progress:  out,
 	})
 	if err != nil {
 		return err
@@ -307,34 +238,25 @@ func runBench(args []string, out io.Writer) error {
 	if base == nil {
 		return nil
 	}
-	if base.CPU != rep.CPU || base.NumCPU != rep.NumCPU {
-		fmt.Fprintf(out, "WARNING: hardware mismatch vs baseline (%q/%d cores vs %q/%d cores): "+
-			"absolute times are not comparable; see docs/BENCHMARKS.md for the refresh procedure\n",
-			base.CPU, base.NumCPU, rep.CPU, rep.NumCPU)
-	}
-	regs, err := bench.Compare(base, rep, *threshold)
+	regs, fewer, err := bench.Compare(base, rep)
 	if err != nil {
 		return err
 	}
+	for _, id := range fewer {
+		fmt.Fprintf(out, "NOTE %-12s fires fewer kernel events than %s; refresh the baseline (docs/BENCHMARKS.md)\n", id, *baseline)
+	}
 	if len(regs) == 0 {
-		fmt.Fprintf(out, "no regressions beyond %.0f%% vs %s\n", *threshold*100, *baseline)
+		fmt.Fprintf(out, "no scenario fires more kernel events or allocates more per point than %s\n", *baseline)
 		return nil
 	}
 	for _, r := range regs {
-		switch {
-		case r.Ratio == 0:
-			fmt.Fprintf(out, "REGRESSION %-12s missing from current run (baseline %d ns/pt)\n",
-				r.ID, r.BaseNSPerPoint)
-		case r.Metric == "allocs/point":
-			fmt.Fprintf(out, "REGRESSION %-12s %d -> %d allocs/pt (%.2fx)\n",
-				r.ID, r.BaseAllocsPerPoint, r.CurAllocsPerPoint, r.Ratio)
-		default:
-			fmt.Fprintf(out, "REGRESSION %-12s %d -> %d ns/pt (%.2fx)\n",
-				r.ID, r.BaseNSPerPoint, r.CurNSPerPoint, r.Ratio)
+		if r.Metric == "" {
+			fmt.Fprintf(out, "REGRESSION %-12s missing from current run\n", r.ID)
+			continue
 		}
+		fmt.Fprintf(out, "REGRESSION %-12s %s %d -> %d\n", r.ID, r.Metric, r.Base, r.Cur)
 	}
-	return fmt.Errorf("%d scenario(s) regressed more than %.0f%% vs %s",
-		len(regs), *threshold*100, *baseline)
+	return fmt.Errorf("%d regression(s) vs %s", len(regs), *baseline)
 }
 
 // writeHeapProfile dumps the post-run heap to path for pprof. The GC run

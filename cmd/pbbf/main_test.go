@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -15,6 +14,7 @@ import (
 	"time"
 
 	"pbbf/internal/bench"
+	"pbbf/internal/raceflag"
 	"pbbf/internal/scenario"
 )
 
@@ -104,8 +104,8 @@ func TestErrors(t *testing.T) {
 		{"-scale", "huge", "-experiment", "fig4"},   // order must not matter
 		{"bench", "-workers", "0"},                  // bench: zero workers
 		{"bench", "-scale", "huge"},                 // bench: unknown scale
-		{"bench", "-threshold", "0"},                // bench: bad threshold
-		{"bench", "-repeats", "0"},                  // bench: bad repeats
+		{"bench", "-threshold", "0.30"},             // bench: retired wall-time gate
+		{"bench", "-overhead-gate", "0.15"},         // bench: retired overhead gate
 		{"bench", "-out", ""},                       // bench: empty output path
 		{"bench", "stray"},                          // bench: positional junk
 		{"bench", "-baseline", "/nonexistent.json"}, // bench: missing baseline
@@ -194,18 +194,19 @@ func TestRunNDJSON(t *testing.T) {
 }
 
 // benchArgs runs the bench subcommand at quick scale (the frozen bench
-// scale is too slow for unit tests) and returns the report path.
-func benchArgs(t *testing.T, dir string, extra ...string) (string, error) {
+// scale is too slow for unit tests) and returns the report path and what
+// it printed.
+func benchArgs(t *testing.T, dir string, extra ...string) (path, printed string, err error) {
 	t.Helper()
-	path := filepath.Join(dir, "BENCH.json")
-	args := append([]string{"bench", "-out", path, "-scale", "quick", "-repeats", "1"}, extra...)
+	path = filepath.Join(dir, "BENCH.json")
+	args := append([]string{"bench", "-out", path, "-scale", "quick"}, extra...)
 	var sb strings.Builder
-	err := run(args, &sb)
-	return path, err
+	err = run(args, &sb)
+	return path, sb.String(), err
 }
 
 func TestBenchWritesValidReport(t *testing.T) {
-	path, err := benchArgs(t, t.TempDir())
+	path, _, err := benchArgs(t, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,9 +238,14 @@ func TestBenchWritesValidReport(t *testing.T) {
 	}
 }
 
+// TestBenchGatesOnBaseline: a run passes against its own report, whatever
+// the machine did to its wall times, and fails against a baseline in which
+// one scenario fires one kernel event fewer or allocates one fewer per
+// point. Race instrumentation allocates, and not the same on every run, so
+// under -race only the event half is checked.
 func TestBenchGatesOnBaseline(t *testing.T) {
 	dir := t.TempDir()
-	path, err := benchArgs(t, dir)
+	path, _, err := benchArgs(t, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,72 +253,43 @@ func TestBenchGatesOnBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A baseline 1000x slower per point than this run cannot be beaten by
-	// machine noise, so the pass path checks the gate's wiring, not the
-	// machine. Allocations stay as measured, so the allocation gate runs
-	// against the same program's own counts.
-	slow := *base
-	slow.Scenarios = append([]bench.ScenarioResult(nil), base.Scenarios...)
-	for i := range slow.Scenarios {
-		slow.Scenarios[i].NSPerPoint *= 1000
-	}
-	slowPath := filepath.Join(dir, "slow.json")
-	if err := slow.WriteFile(slowPath); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := benchArgs(t, dir, "-baseline", slowPath, "-threshold", "3.0"); err != nil {
-		t.Fatalf("comparison against a 1000x slower baseline failed: %v", err)
-	}
-	// A baseline claiming everything used to be instant must trip the gate.
-	for i := range base.Scenarios {
-		base.Scenarios[i].NSPerPoint = 1
-	}
-	fast := filepath.Join(dir, "fast.json")
-	if err := base.WriteFile(fast); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := benchArgs(t, dir, "-baseline", fast); err == nil {
-		t.Fatal("regression vs instant baseline not detected")
-	}
-}
-
-func TestBenchOverheadGate(t *testing.T) {
-	dir := t.TempDir()
-	// A gate of 100 (10000%) cannot trip: this exercises the interleaved
-	// measurement and the report write, not the bound.
-	path, err := benchArgs(t, dir, "-overhead-gate", "100")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep bench.OverheadReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Scale != "quick" || rep.Workers != 1 || len(rep.Results) == 0 {
-		t.Fatalf("overhead report header: %+v", rep)
-	}
-	for _, r := range rep.Results {
-		if r.UntracedCPUNSPerPoint <= 0 || r.TracedCPUNSPerPoint <= 0 || r.Points <= 0 {
-			t.Fatalf("unmeasured scenario: %+v", r)
+	write := func(name string, edit func(*bench.ScenarioResult)) string {
+		t.Helper()
+		rep := *base
+		rep.Scenarios = append([]bench.ScenarioResult(nil), base.Scenarios...)
+		for i := range rep.Scenarios {
+			rep.Scenarios[i].NSPerPoint = 1 // an instant baseline gates nothing
+			if raceflag.Enabled {
+				rep.Scenarios[i].AllocsPerPoint += 1000
+			}
+			if rep.Scenarios[i].ID == "fig13" {
+				edit(&rep.Scenarios[i])
+			}
 		}
+		p := filepath.Join(dir, name)
+		if err := rep.WriteFile(p); err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-
-	// The gate measures both arms itself; combining it with the
-	// cross-invocation comparison flags is a contradiction, not a noop.
-	if _, err := benchArgs(t, dir, "-overhead-gate", "0.15", "-baseline", path); err == nil {
-		t.Fatal("-overhead-gate with -baseline accepted")
+	same := write("same.json", func(*bench.ScenarioResult) {})
+	if _, printed, err := benchArgs(t, dir, "-baseline", same); err != nil {
+		t.Fatalf("run against its own counts failed: %v\n%s", err, printed)
 	}
-	if _, err := benchArgs(t, dir, "-overhead-gate", "0.15", "-trace", "discard"); err == nil {
-		t.Fatal("-overhead-gate with -trace accepted")
-	}
-	// A negative gate must be rejected, not silently fall through to a
-	// normal (ungated) bench run.
-	if _, err := benchArgs(t, dir, "-overhead-gate", "-1"); err == nil {
-		t.Fatal("negative -overhead-gate accepted")
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*bench.ScenarioResult)
+	}{
+		{"events.json", "REGRESSION fig13        events", func(s *bench.ScenarioResult) { s.EventsFired-- }},
+		{"allocs.json", "REGRESSION fig13        allocs/point", func(s *bench.ScenarioResult) { s.AllocsPerPoint-- }},
+	} {
+		if raceflag.Enabled && tc.name == "allocs.json" {
+			continue
+		}
+		_, printed, err := benchArgs(t, dir, "-baseline", write(tc.name, tc.edit))
+		if err == nil || !strings.Contains(printed, tc.want) {
+			t.Fatalf("%s: err %v, want a failure naming %q:\n%s", tc.name, err, tc.want, printed)
+		}
 	}
 }
 
@@ -561,26 +538,35 @@ func TestSubcommandErrors(t *testing.T) {
 // coordinator mode, two worker subcommands attached over real HTTP (one
 // cancelled mid-run), and the merged output compared byte-for-byte with a
 // plain local sweep.
-func TestSweepDistributedMatchesLocal(t *testing.T) {
-	var local strings.Builder
+// localSweep returns `pbbf sweep`'s JSON output for experiment, computed
+// in this process.
+func localSweep(t *testing.T, experiment string) string {
+	t.Helper()
+	var out strings.Builder
 	if err := runSweep(context.Background(),
-		[]string{"-experiment", "fig6", "-format", "json", "-progress=false"},
-		&local, io.Discard); err != nil {
+		[]string{"-experiment", experiment, "-format", "json", "-progress=false"},
+		&out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
+	return out.String()
+}
 
+// startCoordinator runs `pbbf sweep -distribute` for experiment in the
+// background. It returns the coordinator's URL, the sweep's exit value,
+// and its JSON output, to be read once the sweep is done.
+func startCoordinator(t *testing.T, experiment string) (url string, done <-chan error, output func() string) {
+	t.Helper()
 	var mu sync.Mutex
 	var out, errOut strings.Builder
 	sweepDone := make(chan error, 1)
 	go func() {
 		sweepDone <- runSweep(context.Background(),
-			[]string{"-experiment", "fig6", "-format", "json", "-progress=false",
+			[]string{"-experiment", experiment, "-format", "json", "-progress=false",
 				"-distribute", "127.0.0.1:0", "-lease-ttl", "500ms"},
 			lockedWriter{mu: &mu, w: &out}, lockedWriter{mu: &mu, w: &errOut})
 	}()
 
 	// The coordinator announces its bound address on the progress stream.
-	var url string
 	deadline := time.Now().Add(10 * time.Second)
 	for url == "" {
 		if time.Now().After(deadline) {
@@ -593,6 +579,29 @@ func TestSweepDistributedMatchesLocal(t *testing.T) {
 		}
 		mu.Unlock()
 	}
+	return url, sweepDone, func() string {
+		mu.Lock()
+		defer mu.Unlock()
+		return out.String()
+	}
+}
+
+// waitSweep fails the test unless the sweep finishes without error.
+func waitSweep(t *testing.T, done <-chan error) {
+	t.Helper()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("distributed sweep: %v", err)
+		}
+	case <-time.After(120 * time.Second):
+		t.Fatal("distributed sweep never finished")
+	}
+}
+
+func TestSweepDistributedMatchesLocal(t *testing.T) {
+	local := localSweep(t, "fig6")
+	url, sweepDone, output := startCoordinator(t, "fig6")
 
 	workerCtx, killWorker := context.WithCancel(context.Background())
 	defer killWorker()
@@ -610,14 +619,7 @@ func TestSweepDistributedMatchesLocal(t *testing.T) {
 	time.Sleep(300 * time.Millisecond)
 	killWorker()
 
-	select {
-	case err := <-sweepDone:
-		if err != nil {
-			t.Fatalf("distributed sweep: %v", err)
-		}
-	case <-time.After(120 * time.Second):
-		t.Fatal("distributed sweep never finished")
-	}
+	waitSweep(t, sweepDone)
 	select {
 	case err := <-w1:
 		if err != nil {
@@ -626,12 +628,30 @@ func TestSweepDistributedMatchesLocal(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("worker never exited after sweep completion")
 	}
+	if got := output(); got != local {
+		t.Fatalf("distributed output differs from local:\nlocal:\n%s\ndistributed:\n%s", local, got)
+	}
+}
 
-	mu.Lock()
-	got := out.String()
-	mu.Unlock()
-	if got != local.String() {
-		t.Fatalf("distributed output differs from local:\nlocal:\n%s\ndistributed:\n%s", local.String(), got)
+// TestSweepDistributedLeasesDistinctPoints: fig8's PSM and NO PSM rows
+// repeat one point at every q. A repeat takes its leader's result in the
+// coordinator instead of being leased, so the worker computes the 22
+// distinct points of the 30, and the output still equals a local run's.
+func TestSweepDistributedLeasesDistinctPoints(t *testing.T) {
+	local := localSweep(t, "fig8")
+	url, sweepDone, output := startCoordinator(t, "fig8")
+	var log strings.Builder
+	if err := runWorker(context.Background(),
+		[]string{"-coordinator", url, "-name", "w1", "-workers", "2"},
+		io.Discard, &log); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	waitSweep(t, sweepDone)
+	if !strings.Contains(log.String(), "sweep done after 22 point(s)") {
+		t.Fatalf("worker log, want 22 leased points:\n%s", log.String())
+	}
+	if got := output(); got != local {
+		t.Fatalf("distributed output differs from local:\nlocal:\n%s\ndistributed:\n%s", local, got)
 	}
 }
 

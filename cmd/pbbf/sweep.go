@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -95,14 +96,31 @@ func runSweep(ctx context.Context, args []string, out, errOut io.Writer) error {
 		return err
 	}
 
+	// keyer mints every point key of the sweep; the scale is serialized
+	// once, not once per point.
+	keyer := scenario.NewKeyer(scale)
+
 	// Distributed mode: stand up the coordinator endpoints and replace
-	// local point computation with queue dispatch. The scenario engine —
-	// enumeration, assembly, output — is unchanged, which is what makes
-	// the distributed output byte-identical to a local run.
+	// each point function with queue dispatch. The scenario engine —
+	// enumeration, repeated points, assembly, output — is unchanged, which
+	// is what makes the distributed output byte-identical to a local run,
+	// and a repeated point takes its leader's result without being leased.
 	var coord *dist.Coordinator
 	engineWorkers := *workers
 	if *distribute != "" {
 		coord = dist.NewCoordinator(dist.Config{LeaseTTL: *leaseTTL})
+		selected = slices.Clone(selected) // the copies must not reach the registry
+		for i := range selected {
+			sc := &selected[i]
+			if !sc.PointBased() {
+				continue
+			}
+			id := sc.ID
+			sc.RunPoint = nil
+			sc.RunPointCtx = func(ctx context.Context, s scenario.Scale, pt scenario.Point) (scenario.Result, error) {
+				return coord.Do(ctx, scenario.PointSpec{ScenarioID: id, Scale: s, Point: pt, Key: keyer.Key(id, pt)})
+			}
+		}
 		var accessLog io.Writer
 		if *verbose {
 			accessLog = errOut
@@ -138,19 +156,6 @@ func runSweep(ctx context.Context, args []string, out, errOut io.Writer) error {
 		engineWorkers = *outstanding
 	}
 
-	// keyer mints every point key of the sweep; the scale is serialized
-	// once, not once per point.
-	keyer := scenario.NewKeyer(scale)
-
-	// dispatch computes one point, whose key is key: remotely through the
-	// coordinator's queue when distributing, locally otherwise.
-	dispatch := func(sc scenario.Scenario, pt scenario.Point, key string, compute func() (scenario.Result, error)) (scenario.Result, error) {
-		if coord != nil {
-			return coord.Do(ctx, scenario.PointSpec{ScenarioID: sc.ID, Scale: scale, Point: pt, Key: key})
-		}
-		return compute()
-	}
-
 	// Load or create the checkpoint. The identity must match: resuming a
 	// different workload from recorded results would silently mix runs.
 	var cp *scenario.Checkpoint
@@ -175,8 +180,7 @@ func runSweep(ctx context.Context, args []string, out, errOut io.Writer) error {
 	)
 	opts := scenario.RunOptions{Workers: engineWorkers}
 	var cpw *scenario.CheckpointWriter
-	switch {
-	case cp != nil:
+	if cp != nil {
 		// Completed points append to the journal as they finish: O(1)
 		// disk work per point under the writer's own lock, so workers
 		// never serialize on rewriting prior results.
@@ -197,7 +201,7 @@ func runSweep(ctx context.Context, args []string, out, errOut io.Writer) error {
 			if ok {
 				return res, true, nil
 			}
-			res, err := dispatch(sc, pt, key, compute)
+			res, err := compute()
 			if err != nil {
 				return res, false, err
 			}
@@ -209,11 +213,6 @@ func runSweep(ctx context.Context, args []string, out, errOut io.Writer) error {
 				return res, false, fmt.Errorf("checkpoint %s: %w", *checkpoint, err)
 			}
 			return res, false, nil
-		}
-	case coord != nil:
-		opts.Intercept = func(sc scenario.Scenario, pt scenario.Point, compute func() (scenario.Result, error)) (scenario.Result, bool, error) {
-			res, err := dispatch(sc, pt, keyer.Key(sc.ID, pt), compute)
-			return res, false, err
 		}
 	}
 	// Progress: the default is a periodic structured summary (one JSON line

@@ -1,11 +1,11 @@
 // Package bench is the repository's performance-tracking subsystem: it runs
-// every registered scenario at the frozen bench scale, measures wall time,
-// per-point cost, allocations, and simulator events fired, and serializes
-// the result as a machine-readable report (BENCH.json). CI records the
-// report as an artifact on every push and fails the build when a scenario
-// regresses more than the configured threshold against the committed
-// baseline, so the perf trajectory of the hot paths is visible — and
-// enforced — over the repository's history.
+// every registered scenario at the frozen bench scale and records, per
+// scenario, the discrete-event kernel events fired, the heap allocations
+// per point, and the wall time, in a machine-readable report (BENCH.json).
+// CI gates only what the program determines: a scenario that fires more
+// kernel events, or allocates more per point, than the committed baseline
+// fails the build. Wall time is reported, never gated: it measures the
+// machine as much as the program.
 package bench
 
 import (
@@ -15,32 +15,18 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sort"
+	"runtime/debug"
 	"strings"
 	"time"
 
 	"pbbf/internal/scenario"
 	"pbbf/internal/sim"
-	"pbbf/internal/trace"
 )
 
 // SchemaVersion identifies the report layout. Bump when fields change
 // incompatibly; Compare refuses to diff reports with different versions.
 // v2 added AllocsPerPoint and the allocation gate.
 const SchemaVersion = 2
-
-// NoiseFloorNS is the baseline wall time below which Compare records a
-// scenario but does not gate it: sub-millisecond artifacts (the static
-// tables) measure timer and scheduler noise, not simulator performance.
-const NoiseFloorNS = 2_000_000
-
-// AllocNoiseFloor is the baseline allocs-per-point below which Compare
-// records but does not gate the allocation ratio: when a point costs a few
-// hundred allocations, one stray runtime allocation (a timer, a map bucket
-// split) swings the ratio past any reasonable threshold without meaning
-// anything. Pooled scenarios sit far below this floor and are protected by
-// the absolute FlagshipAllocCeiling instead.
-const AllocNoiseFloor = 512
 
 // FlagshipAllocCeiling is the absolute allocs-per-point budget for the
 // flagship scenarios at the frozen bench scale. The pooled netsim and
@@ -63,11 +49,10 @@ var FlagshipScenarios = []string{
 	"fig4", "fig5", "fig8", "fig9", "fig10", "fig11", "extwakeup", "exttmac",
 }
 
-// DefaultRepeats is how many times Run measures each scenario when
-// Config.Repeats is unset; the fastest repeat is recorded. Minimum-of-N is
-// the standard defense against one-off scheduler hiccups inflating a
-// measurement into a phantom regression.
-const DefaultRepeats = 3
+// repeats is how many times Run measures each scenario; the fastest repeat
+// gives the reported wall time. Minimum-of-N keeps one-off scheduler
+// hiccups out of it.
+const repeats = 3
 
 // ScenarioResult is one scenario's measurement.
 type ScenarioResult struct {
@@ -80,20 +65,22 @@ type ScenarioResult struct {
 	Points int `json:"points"`
 	// WallNS is the scenario's wall-clock time in nanoseconds.
 	WallNS int64 `json:"wall_ns"`
-	// NSPerPoint is WallNS divided by Points — the regression metric.
+	// NSPerPoint is WallNS divided by Points. Like WallNS it is reported,
+	// not gated.
 	NSPerPoint int64 `json:"ns_per_point"`
 	// Allocs counts heap allocations during the run.
 	Allocs uint64 `json:"allocs"`
 	// AllocsPerPoint is the minimum allocations-per-point seen across the
-	// repeats — the allocation analogue of NSPerPoint. It is tracked
-	// independently of the fastest repeat: the work is deterministic, so the
-	// repeat with the fewest allocations is the one least polluted by
-	// runtime background activity.
+	// repeats. At one worker every repeat counts the same (see measure), so
+	// Compare gates it with no tolerance; with more workers the goroutines'
+	// placement on processors moves it by a few, and the minimum is the
+	// repeat least touched by that.
 	AllocsPerPoint uint64 `json:"allocs_per_point"`
 	// AllocBytes counts bytes allocated during the run.
 	AllocBytes uint64 `json:"alloc_bytes"`
 	// EventsFired counts discrete-event kernel events executed during the
-	// run (0 for analytic scenarios that never touch a kernel).
+	// run (0 for analytic scenarios that never touch a kernel). The seed
+	// fixes it exactly, so Compare gates it with no tolerance.
 	EventsFired uint64 `json:"events_fired"`
 }
 
@@ -104,9 +91,7 @@ type Report struct {
 	GOOS          string `json:"goos"`
 	GOARCH        string `json:"goarch"`
 	// CPU is the best-effort processor model of the recording machine and
-	// NumCPU its logical core count. Absolute times are only comparable
-	// between reports from similar hardware; these fields make a mismatch
-	// diagnosable from the two files alone.
+	// NumCPU its logical core count: the context of the wall times.
 	CPU    string `json:"cpu,omitempty"`
 	NumCPU int    `json:"num_cpu"`
 	// Scale names the scenario scale the benchmark ran at.
@@ -126,25 +111,20 @@ type Config struct {
 	Scale scenario.Scale
 	// ScaleName labels the scale in the report.
 	ScaleName string
-	// Workers sizes the sweep pool per scenario. 1 (the default used by
-	// the CLI) keeps timings and allocation counts scheduler-independent.
+	// Workers sizes the sweep pool per scenario, and Run holds GOMAXPROCS
+	// at it. 1 (the default used by the CLI) makes allocation counts exact.
 	Workers int
-	// Repeats is how many times each scenario is measured; the fastest
-	// repeat is recorded. 0 means DefaultRepeats.
-	Repeats int
 	// Progress, when non-nil, receives one line per finished scenario.
 	Progress io.Writer
-	// TraceProvider, when non-nil, attaches the event recorder to every
-	// simulation run — the trace overhead gate: benchmarking with
-	// trace.DiscardProvider against an untraced baseline bounds the cost
-	// of full instrumentation. nil (the default) measures untraced runs.
-	TraceProvider trace.Provider
 }
 
 // Run benchmarks every scenario in the registry sequentially and returns
 // the report. Scenarios run one at a time — never concurrently with each
 // other — so per-scenario wall time, allocation deltas, and event counts
-// are attributable.
+// are attributable. GOMAXPROCS is held at cfg.Workers for the run: the
+// runtime keeps free goroutines and sync.Pool entries per processor, and
+// with more processors than workers whether a run reuses one or allocates
+// afresh depends on where the scheduler put the last user.
 func Run(scenarios []scenario.Scenario, cfg Config) (*Report, error) {
 	if cfg.Workers == 0 {
 		cfg.Workers = 1
@@ -152,15 +132,10 @@ func Run(scenarios []scenario.Scenario, cfg Config) (*Report, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("bench: workers %d must be positive", cfg.Workers)
 	}
-	if cfg.Repeats == 0 {
-		cfg.Repeats = DefaultRepeats
-	}
-	if cfg.Repeats < 0 {
-		return nil, fmt.Errorf("bench: repeats %d must be positive", cfg.Repeats)
-	}
 	if err := cfg.Scale.Validate(); err != nil {
 		return nil, err
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cfg.Workers))
 	rep := &Report{
 		SchemaVersion: SchemaVersion,
 		GoVersion:     runtime.Version(),
@@ -173,20 +148,16 @@ func Run(scenarios []scenario.Scenario, cfg Config) (*Report, error) {
 		Seed:          cfg.Scale.Seed,
 		Scenarios:     make([]ScenarioResult, 0, len(scenarios)),
 	}
-	ctx := context.Background()
-	if cfg.TraceProvider != nil {
-		ctx = trace.WithProvider(ctx, cfg.TraceProvider)
-	}
 	total := time.Now()
 	for _, sc := range scenarios {
-		// Measure Repeats times and keep the fastest: the work is
+		// Measure repeats times and keep the fastest: the work is
 		// deterministic (fixed seed), so the minimum is the cleanest
 		// estimate of the scenario's cost and is robust against one
 		// repeat landing on a busy moment.
 		var res ScenarioResult
 		var minAllocs uint64
-		for try := 0; try < cfg.Repeats; try++ {
-			m, err := measure(ctx, sc, cfg, try == 0)
+		for try := 0; try < repeats; try++ {
+			m, err := measure(sc, cfg, try == 0)
 			if err != nil {
 				return nil, fmt.Errorf("bench: %s: %w", sc.ID, err)
 			}
@@ -222,135 +193,24 @@ func Run(scenarios []scenario.Scenario, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// OverheadResult is one scenario's paired traced-vs-untraced measurement
-// from RunOverhead.
-type OverheadResult struct {
-	// ID is the scenario's registry handle.
-	ID string `json:"id"`
-	// Points is the number of parameter points per run.
-	Points int `json:"points"`
-	// UntracedCPUNSPerPoint and TracedCPUNSPerPoint are each arm's
-	// fastest repeat in process CPU time (user plus system), per point.
-	// CPU time, unlike wall time, does not grow when the machine takes
-	// the processor away mid-run.
-	UntracedCPUNSPerPoint int64 `json:"untraced_cpu_ns_per_point"`
-	TracedCPUNSPerPoint   int64 `json:"traced_cpu_ns_per_point"`
-	// Ratio is Traced/Untraced (1.10 = full instrumentation costs 10%).
-	Ratio float64 `json:"ratio"`
-	// Gated is false when the untraced arm's CPU time sits under
-	// NoiseFloorNS — recorded for the report, excluded from the gate.
-	Gated bool `json:"gated"`
-}
-
-// OverheadReport is the machine-readable record of a RunOverhead pass.
-type OverheadReport struct {
-	SchemaVersion int              `json:"schema_version"`
-	Scale         string           `json:"scale"`
-	Workers       int              `json:"workers"`
-	Seed          uint64           `json:"seed"`
-	Repeats       int              `json:"repeats"`
-	Results       []OverheadResult `json:"results"`
-}
-
-// WriteFile serializes the overhead report as indented JSON.
-func (r *OverheadReport) WriteFile(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// RunOverhead measures the cost of full event instrumentation: each
-// scenario runs Repeats untraced/traced pairs — the traced arm records
-// every event into trace.Discard — alternating within this one process,
-// and each arm keeps its fastest repeat in process CPU time. Pairing the
-// arms back to back cancels the machine drift (thermal state, background
-// load, build cache) that makes two separate bench invocations
-// incomparable, so the ratio can be gated far inside the cross-invocation
-// noise floor.
-// Config.TraceProvider is ignored; the arms define their own.
-func RunOverhead(scenarios []scenario.Scenario, cfg Config) (*OverheadReport, error) {
-	if cfg.Workers == 0 {
-		cfg.Workers = 1
-	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("bench: workers %d must be positive", cfg.Workers)
-	}
-	if cfg.Repeats == 0 {
-		cfg.Repeats = DefaultRepeats
-	}
-	if cfg.Repeats < 0 {
-		return nil, fmt.Errorf("bench: repeats %d must be positive", cfg.Repeats)
-	}
-	if err := cfg.Scale.Validate(); err != nil {
-		return nil, err
-	}
-	rep := &OverheadReport{
-		SchemaVersion: SchemaVersion,
-		Scale:         cfg.ScaleName,
-		Workers:       cfg.Workers,
-		Seed:          cfg.Scale.Seed,
-		Repeats:       cfg.Repeats,
-		Results:       make([]OverheadResult, 0, len(scenarios)),
-	}
-	plain := context.Background()
-	traced := trace.WithProvider(context.Background(), trace.DiscardProvider)
-	for _, sc := range scenarios {
-		var res OverheadResult
-		for try := 0; try < cfg.Repeats; try++ {
-			p, err := measure(plain, sc, cfg, try == 0)
-			if err != nil {
-				return nil, fmt.Errorf("bench: %s: %w", sc.ID, err)
-			}
-			t, err := measure(traced, sc, cfg, try == 0)
-			if err != nil {
-				return nil, fmt.Errorf("bench: %s (traced): %w", sc.ID, err)
-			}
-			if try == 0 {
-				res = OverheadResult{ID: sc.ID, Points: p.points,
-					UntracedCPUNSPerPoint: p.cpuNS, TracedCPUNSPerPoint: t.cpuNS}
-			} else {
-				res.UntracedCPUNSPerPoint = min(res.UntracedCPUNSPerPoint, p.cpuNS)
-				res.TracedCPUNSPerPoint = min(res.TracedCPUNSPerPoint, t.cpuNS)
-			}
-		}
-		// The fields hold total CPU time until here; the noise floor
-		// applies to the total, as Compare's does to wall time.
-		res.Gated = res.UntracedCPUNSPerPoint >= NoiseFloorNS
-		res.UntracedCPUNSPerPoint /= int64(res.Points)
-		res.TracedCPUNSPerPoint /= int64(res.Points)
-		if res.UntracedCPUNSPerPoint > 0 {
-			res.Ratio = float64(res.TracedCPUNSPerPoint) / float64(res.UntracedCPUNSPerPoint)
-		}
-		rep.Results = append(rep.Results, res)
-		if cfg.Progress != nil {
-			fmt.Fprintf(cfg.Progress, "%-12s %12d CPU ns/pt untraced %12d CPU ns/pt traced %6.2fx\n",
-				res.ID, res.UntracedCPUNSPerPoint, res.TracedCPUNSPerPoint, res.Ratio)
-		}
-	}
-	return rep, nil
-}
-
 // measurement is one measured run of one scenario.
 type measurement struct {
 	wallNS     int64
-	cpuNS      int64 // process CPU time, user plus system
-	points     int   // 1 for table scenarios
+	points     int // 1 for table scenarios
 	allocs     uint64
 	allocBytes uint64
 	fired      uint64
 }
 
-// measure runs one scenario once under ctx and measures it. With warm set
+// measure runs one scenario once and measures it. With warm set
 // it first runs the scenario once unmeasured, so one-time costs — a sweep
 // worker's first simulation pools, protocol state built on first use — fall
 // in no measured repeat. Every measured repeat then follows a run of the
 // same scenario: a single repeat reports the steady state the minimum of
 // several does, whichever scenario ran before.
-func measure(ctx context.Context, sc scenario.Scenario, cfg Config, warm bool) (measurement, error) {
+func measure(sc scenario.Scenario, cfg Config, warm bool) (measurement, error) {
 	run := func() ([]scenario.Output, error) {
-		return scenario.RunAllCtx(ctx, []scenario.Scenario{sc}, cfg.Scale,
+		return scenario.RunAllCtx(context.Background(), []scenario.Scenario{sc}, cfg.Scale,
 			scenario.RunOptions{Workers: cfg.Workers})
 	}
 	if warm {
@@ -360,18 +220,21 @@ func measure(ctx context.Context, sc scenario.Scenario, cfg Config, warm bool) (
 	}
 	var ms0, ms1 runtime.MemStats
 	runtime.GC() // attribute floating garbage to this measurement
+	// No collection inside the window: a cycle clears every sync.Pool, and
+	// where in the run one starts varies, so the refills would too. The
+	// heap grows by the run's alloc_bytes before the collector resumes.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runtime.ReadMemStats(&ms0)
 	fired0 := sim.TotalFired()
-	cpu0, start := processCPU(), time.Now()
+	start := time.Now()
 	outs, err := run()
-	wall, cpu := time.Since(start), processCPU()-cpu0
+	wall := time.Since(start)
 	if err != nil {
 		return measurement{}, err
 	}
 	runtime.ReadMemStats(&ms1)
 	return measurement{
 		wallNS:     wall.Nanoseconds(),
-		cpuNS:      cpu.Nanoseconds(),
 		points:     max(len(outs[0].Points), 1), // TableFn scenarios: one unit of work
 		allocs:     ms1.Mallocs - ms0.Mallocs,
 		allocBytes: ms1.TotalAlloc - ms0.TotalAlloc,
@@ -419,87 +282,60 @@ func ReadFile(path string) (*Report, error) {
 	return &r, nil
 }
 
-// Regression is one scenario metric that got worse than the baseline
-// allows. Metric says which gate fired: "ns/point" (wall time) or
-// "allocs/point" (allocation count).
+// Regression is one scenario that fails the baseline gate: it fires more
+// kernel events or allocates more per point than the baseline, or it is
+// missing from the current run.
 type Regression struct {
-	ID string `json:"id"`
-	// Metric names the gated measurement: "ns/point" or "allocs/point".
-	Metric string `json:"metric"`
-	// BaseNSPerPoint and CurNSPerPoint are the compared wall measurements
-	// (zero for allocation regressions).
-	BaseNSPerPoint int64 `json:"base_ns_per_point,omitempty"`
-	CurNSPerPoint  int64 `json:"cur_ns_per_point,omitempty"`
-	// BaseAllocsPerPoint and CurAllocsPerPoint are the compared allocation
-	// measurements (zero for wall-time regressions).
-	BaseAllocsPerPoint uint64 `json:"base_allocs_per_point,omitempty"`
-	CurAllocsPerPoint  uint64 `json:"cur_allocs_per_point,omitempty"`
-	// Ratio is Cur/Base (1.30 = 30% worse).
-	Ratio float64 `json:"ratio"`
+	ID string
+	// Metric names the failed count: "events" or "allocs/point"; empty
+	// when the scenario is missing from the current run.
+	Metric string
+	// Base and Cur are the compared counts.
+	Base, Cur uint64
 }
 
-// Compare diffs current against base and returns every scenario whose
-// ns/point or allocs/point grew by more than threshold (0.30 = fail above
-// +30%). Each metric has its own noise floor (NoiseFloorNS,
-// AllocNoiseFloor) below which the baseline is recorded but not gated.
-// Scenarios present in the baseline but missing from the current run are
-// reported as regressions with Ratio 0 — a silently dropped benchmark must
-// not pass. New scenarios absent from the baseline are ignored.
-func Compare(base, current *Report, threshold float64) ([]Regression, error) {
-	if threshold <= 0 {
-		return nil, fmt.Errorf("bench: threshold %v must be positive", threshold)
-	}
+// Compare diffs current against base. It returns every regression, and
+// the IDs of the scenarios that now fire fewer kernel events than the
+// baseline: those pass, but the baseline no longer pins their event count
+// and should be refreshed. A scenario present in the baseline but missing
+// from the current run is a regression — a silently dropped benchmark
+// must not pass. New scenarios absent from the baseline are ignored.
+func Compare(base, current *Report) (regs []Regression, fewer []string, err error) {
 	if base.SchemaVersion != current.SchemaVersion {
-		return nil, fmt.Errorf("bench: schema mismatch: baseline v%d vs current v%d",
+		return nil, nil, fmt.Errorf("bench: schema mismatch: baseline v%d vs current v%d",
 			base.SchemaVersion, current.SchemaVersion)
 	}
-	// ns/point is only meaningful between runs of the same workload: a
+	// The counts are only comparable between runs of the same workload: a
 	// scale, worker, or seed mismatch would gate two different jobs.
 	if base.Scale != current.Scale {
-		return nil, fmt.Errorf("bench: scale mismatch: baseline %q vs current %q", base.Scale, current.Scale)
+		return nil, nil, fmt.Errorf("bench: scale mismatch: baseline %q vs current %q", base.Scale, current.Scale)
 	}
 	if base.Workers != current.Workers {
-		return nil, fmt.Errorf("bench: workers mismatch: baseline %d vs current %d", base.Workers, current.Workers)
+		return nil, nil, fmt.Errorf("bench: workers mismatch: baseline %d vs current %d", base.Workers, current.Workers)
 	}
 	if base.Seed != current.Seed {
-		return nil, fmt.Errorf("bench: seed mismatch: baseline %d vs current %d", base.Seed, current.Seed)
+		return nil, nil, fmt.Errorf("bench: seed mismatch: baseline %d vs current %d", base.Seed, current.Seed)
 	}
 	cur := make(map[string]ScenarioResult, len(current.Scenarios))
 	for _, s := range current.Scenarios {
 		cur[s.ID] = s
 	}
-	var regs []Regression
 	for _, b := range base.Scenarios {
 		c, ok := cur[b.ID]
-		if !ok {
-			regs = append(regs, Regression{ID: b.ID, Metric: "ns/point", BaseNSPerPoint: b.NSPerPoint})
+		switch {
+		case !ok:
+			regs = append(regs, Regression{ID: b.ID})
 			continue
+		case c.EventsFired > b.EventsFired:
+			regs = append(regs, Regression{ID: b.ID, Metric: "events", Base: b.EventsFired, Cur: c.EventsFired})
+		case c.EventsFired < b.EventsFired:
+			fewer = append(fewer, b.ID)
 		}
-		if b.NSPerPoint > 0 && b.WallNS >= NoiseFloorNS {
-			if ratio := float64(c.NSPerPoint) / float64(b.NSPerPoint); ratio > 1+threshold {
-				regs = append(regs, Regression{
-					ID:             b.ID,
-					Metric:         "ns/point",
-					BaseNSPerPoint: b.NSPerPoint,
-					CurNSPerPoint:  c.NSPerPoint,
-					Ratio:          ratio,
-				})
-			}
-		}
-		if b.AllocsPerPoint >= AllocNoiseFloor {
-			if ratio := float64(c.AllocsPerPoint) / float64(b.AllocsPerPoint); ratio > 1+threshold {
-				regs = append(regs, Regression{
-					ID:                 b.ID,
-					Metric:             "allocs/point",
-					BaseAllocsPerPoint: b.AllocsPerPoint,
-					CurAllocsPerPoint:  c.AllocsPerPoint,
-					Ratio:              ratio,
-				})
-			}
+		if c.AllocsPerPoint > b.AllocsPerPoint {
+			regs = append(regs, Regression{ID: b.ID, Metric: "allocs/point", Base: b.AllocsPerPoint, Cur: c.AllocsPerPoint})
 		}
 	}
-	sort.Slice(regs, func(i, j int) bool { return regs[i].Ratio > regs[j].Ratio })
-	return regs, nil
+	return regs, fewer, nil
 }
 
 // CeilingViolation is one flagship scenario over its absolute allocation

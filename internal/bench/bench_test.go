@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,9 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"pbbf/internal/experiments"
+	"pbbf/internal/raceflag"
 	"pbbf/internal/scenario"
 	"pbbf/internal/stats"
-	"pbbf/internal/trace"
 )
 
 // toyScenarios returns a minimal registry slice: one point-based scenario
@@ -112,60 +112,64 @@ func TestReadFileRejectsGarbage(t *testing.T) {
 	}
 }
 
-// report builds a fixture whose entries sit well above the noise floor
-// (scale factor 100x NoiseFloorNS) so Compare actually gates them.
-func report(entries map[string]int64) *Report {
+// report builds a one-point-per-scenario fixture from each scenario's
+// kernel events fired.
+func report(entries map[string]uint64) *Report {
 	r := &Report{SchemaVersion: SchemaVersion}
 	for _, id := range []string{"a", "b", "c"} {
-		ns, ok := entries[id]
+		events, ok := entries[id]
 		if !ok {
 			continue
 		}
-		ns *= 100 * NoiseFloorNS / 1000
-		r.Scenarios = append(r.Scenarios, ScenarioResult{ID: id, Points: 1, WallNS: ns, NSPerPoint: ns})
+		r.Scenarios = append(r.Scenarios, ScenarioResult{ID: id, Points: 1, EventsFired: events})
 	}
 	return r
 }
 
-// TestCompareNoiseFloor: a scenario whose baseline wall time is below the
-// noise floor is recorded but never gated, however big its ratio.
-func TestCompareNoiseFloor(t *testing.T) {
-	tiny := ScenarioResult{ID: "tiny", Points: 1, WallNS: NoiseFloorNS - 1, NSPerPoint: NoiseFloorNS - 1}
-	base := &Report{SchemaVersion: SchemaVersion, Scenarios: []ScenarioResult{tiny}}
-	cur := &Report{SchemaVersion: SchemaVersion, Scenarios: []ScenarioResult{{
-		ID: "tiny", Points: 1, WallNS: 50 * NoiseFloorNS, NSPerPoint: 50 * NoiseFloorNS,
-	}}}
-	regs, err := Compare(base, cur, 0.30)
+// TestCompareIgnoresWallTime: wall time measures the machine as much as
+// the program, so however much slower a scenario runs, with the same
+// counts it passes.
+func TestCompareIgnoresWallTime(t *testing.T) {
+	base := report(map[string]uint64{"a": 1000})
+	cur := report(map[string]uint64{"a": 1000})
+	base.Scenarios[0].WallNS, base.Scenarios[0].NSPerPoint = 1, 1
+	cur.Scenarios[0].WallNS, cur.Scenarios[0].NSPerPoint = 1e12, 1e12
+	regs, fewer, err := Compare(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(regs) != 0 {
-		t.Fatalf("sub-floor scenario gated: %+v", regs)
+	if len(regs) != 0 || len(fewer) != 0 {
+		t.Fatalf("wall time gated: %+v %v", regs, fewer)
 	}
 }
 
-// TestRunKeepsFastestRepeat checks the min-of-N policy through the public
-// surface: with many repeats the recorded wall time is the minimum, so it
-// can only go down as repeats increase on identical work.
+// slowFirstScenario is the two-point toy scenario whose first slowCalls
+// point calls sleep for slow, the way a repeat that lands on a busy moment
+// runs long; every later call returns at once.
+func slowFirstScenario(slowCalls int, slow time.Duration) scenario.Scenario {
+	sc := toyScenarios()[0]
+	calls := 0
+	sc.RunPoint = func(_ scenario.Scale, pt scenario.Point) (scenario.Result, error) {
+		if calls++; calls <= slowCalls {
+			time.Sleep(slow)
+		}
+		return scenario.Result{Y: pt.X}, nil
+	}
+	return sc
+}
+
+// TestRunKeepsFastestRepeat: the reported wall time is the fastest repeat,
+// so a first measured repeat that runs long does not reach the report.
 func TestRunKeepsFastestRepeat(t *testing.T) {
-	cfg := testConfig()
-	cfg.Repeats = 1
-	one, err := Run(toyScenarios(), cfg)
+	const slow = 50 * time.Millisecond
+	// The toy scenario has two points: the warm-up run and the first
+	// measured repeat make four calls.
+	rep, err := Run([]scenario.Scenario{slowFirstScenario(4, slow)}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Repeats = 5
-	five, err := Run(toyScenarios(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if five.Scenarios[0].WallNS <= 0 {
-		t.Fatalf("unmeasured: %+v", five.Scenarios[0])
-	}
-	// Not a strict inequality claim (machines are noisy), but the min of 5
-	// exceeding 20x a single run would mean the min was not kept.
-	if five.Scenarios[0].WallNS > 20*one.Scenarios[0].WallNS {
-		t.Fatalf("min-of-5 wall %d vs single %d", five.Scenarios[0].WallNS, one.Scenarios[0].WallNS)
+	if got := rep.Scenarios[0].WallNS; got <= 0 || got >= slow.Nanoseconds() {
+		t.Fatalf("wall %d ns, want the fastest repeat (under %d)", got, slow.Nanoseconds())
 	}
 }
 
@@ -191,63 +195,89 @@ func warmUpScenario(coldAllocs int) scenario.Scenario {
 	return sc
 }
 
-// TestRunExcludesWarmUpAllocs: a single repeat must report the steady
-// state, not the one-time warm-up, or -repeats 1 trips the allocation
-// ceiling on a scenario that sits under it at the default repeats.
+// TestRunExcludesWarmUpAllocs: the report holds the steady state, not the
+// one-time warm-up, or the allocation ceiling would trip on a scenario
+// that sits under it.
 func TestRunExcludesWarmUpAllocs(t *testing.T) {
 	const coldAllocs = 20000
-	for _, repeats := range []int{1, DefaultRepeats} {
-		cfg := testConfig()
-		cfg.Repeats = repeats
-		rep, err := Run([]scenario.Scenario{warmUpScenario(coldAllocs)}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := rep.Scenarios[0].AllocsPerPoint; got >= coldAllocs/4 {
-			t.Fatalf("repeats=%d: %d allocs/point includes the one-time warm-up", repeats, got)
-		}
-	}
-}
-
-func TestRunRejectsNegativeRepeats(t *testing.T) {
-	cfg := testConfig()
-	cfg.Repeats = -1
-	if _, err := Run(toyScenarios(), cfg); err == nil {
-		t.Fatal("negative repeats accepted")
-	}
-}
-
-func TestCompareFlagsRegressions(t *testing.T) {
-	base := report(map[string]int64{"a": 1000, "b": 1000, "c": 1000})
-	cur := report(map[string]int64{"a": 1290, "b": 1500, "c": 900})
-	regs, err := Compare(base, cur, 0.30)
+	rep, err := Run([]scenario.Scenario{warmUpScenario(coldAllocs)}, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(regs) != 1 || regs[0].ID != "b" {
-		t.Fatalf("regressions: %+v", regs)
+	if got := rep.Scenarios[0].AllocsPerPoint; got >= coldAllocs/4 {
+		t.Fatalf("%d allocs/point includes the one-time warm-up", got)
 	}
-	if regs[0].Ratio < 1.49 || regs[0].Ratio > 1.51 {
-		t.Fatalf("ratio = %v", regs[0].Ratio)
+}
+
+// TestRunCountsRepeatExactly: at one worker, two runs of the same
+// scenarios count the same kernel events and the same allocations per
+// point, which is what lets Compare gate both with no tolerance.
+func TestRunCountsRepeatExactly(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; alloc counts are meaningless under -race")
+	}
+	reg := experiments.Registry()
+	var scs []scenario.Scenario
+	for _, id := range []string{"table1", "fig4", "fig13", "fig17", "extgossip"} {
+		sc, err := reg.ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scs = append(scs, sc)
+	}
+	first, err := Run(scs, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		again, err := Run(scs, testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, a := range again.Scenarios {
+			f := first.Scenarios[k]
+			if a.EventsFired != f.EventsFired || a.AllocsPerPoint != f.AllocsPerPoint || a.Allocs != f.Allocs {
+				t.Errorf("%s: run %d counted %d events, %d allocs (%d/point); first run %d, %d (%d/point)",
+					a.ID, i+2, a.EventsFired, a.Allocs, a.AllocsPerPoint, f.EventsFired, f.Allocs, f.AllocsPerPoint)
+			}
+		}
+	}
+}
+
+// TestCompareFlagsRegressions: one kernel event more than the baseline
+// fails; fewer pass, named so the baseline can be refreshed.
+func TestCompareFlagsRegressions(t *testing.T) {
+	base := report(map[string]uint64{"a": 1000, "b": 1000, "c": 1000})
+	cur := report(map[string]uint64{"a": 1000, "b": 1001, "c": 999})
+	regs, fewer, err := Compare(base, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Regression{{ID: "b", Metric: "events", Base: 1000, Cur: 1001}}
+	if !reflect.DeepEqual(regs, want) {
+		t.Fatalf("regressions = %+v, want %+v", regs, want)
+	}
+	if !reflect.DeepEqual(fewer, []string{"c"}) {
+		t.Fatalf("fewer = %v, want [c]", fewer)
 	}
 }
 
 func TestCompareMissingScenarioIsRegression(t *testing.T) {
-	base := report(map[string]int64{"a": 1000, "b": 1000})
-	cur := report(map[string]int64{"a": 1000})
-	regs, err := Compare(base, cur, 0.30)
+	base := report(map[string]uint64{"a": 1000, "b": 1000})
+	cur := report(map[string]uint64{"a": 1000})
+	regs, _, err := Compare(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(regs) != 1 || regs[0].ID != "b" || regs[0].CurNSPerPoint != 0 {
-		t.Fatalf("regressions: %+v", regs)
+	if want := []Regression{{ID: "b"}}; !reflect.DeepEqual(regs, want) {
+		t.Fatalf("regressions = %+v, want %+v", regs, want)
 	}
 }
 
 func TestCompareNewScenarioIgnored(t *testing.T) {
-	base := report(map[string]int64{"a": 1000})
-	cur := report(map[string]int64{"a": 1000, "b": 99999})
-	regs, err := Compare(base, cur, 0.30)
+	base := report(map[string]uint64{"a": 1000})
+	cur := report(map[string]uint64{"a": 1000, "b": 99999})
+	regs, _, err := Compare(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,22 +287,12 @@ func TestCompareNewScenarioIgnored(t *testing.T) {
 }
 
 func TestCompareSchemaMismatch(t *testing.T) {
-	base := report(map[string]int64{"a": 1000})
-	cur := report(map[string]int64{"a": 1000})
+	base := report(map[string]uint64{"a": 1000})
+	cur := report(map[string]uint64{"a": 1000})
 	cur.SchemaVersion = SchemaVersion + 1
-	if _, err := Compare(base, cur, 0.30); err == nil ||
+	if _, _, err := Compare(base, cur); err == nil ||
 		!strings.Contains(err.Error(), "schema") {
 		t.Fatalf("schema mismatch not rejected: %v", err)
-	}
-}
-
-func TestCompareBadThreshold(t *testing.T) {
-	base := report(map[string]int64{"a": 1000})
-	if _, err := Compare(base, base, 0); err == nil {
-		t.Fatal("zero threshold accepted")
-	}
-	if _, err := Compare(base, base, -0.3); err == nil {
-		t.Fatal("negative threshold accepted")
 	}
 }
 
@@ -284,49 +304,20 @@ func TestRunRejectsNegativeWorkers(t *testing.T) {
 	}
 }
 
-// allocReport builds a fixture with the given allocs-per-point entries,
-// keeping wall times below NoiseFloorNS so only the allocation gate fires.
-func allocReport(entries map[string]uint64) *Report {
-	r := &Report{SchemaVersion: SchemaVersion}
-	for _, id := range []string{"a", "b", "c"} {
-		n, ok := entries[id]
-		if !ok {
-			continue
-		}
-		r.Scenarios = append(r.Scenarios, ScenarioResult{
-			ID: id, Points: 1, WallNS: 1, NSPerPoint: 1, AllocsPerPoint: n,
-		})
-	}
-	return r
-}
-
+// TestCompareFlagsAllocRegressions: one allocation per point more than the
+// baseline fails; fewer pass.
 func TestCompareFlagsAllocRegressions(t *testing.T) {
-	base := allocReport(map[string]uint64{"a": 10 * AllocNoiseFloor, "b": 10 * AllocNoiseFloor})
-	cur := allocReport(map[string]uint64{"a": 15 * AllocNoiseFloor, "b": 11 * AllocNoiseFloor})
-	regs, err := Compare(base, cur, 0.30)
+	base := report(map[string]uint64{"a": 1000, "b": 1000})
+	cur := report(map[string]uint64{"a": 1000, "b": 1000})
+	base.Scenarios[0].AllocsPerPoint, cur.Scenarios[0].AllocsPerPoint = 64, 65
+	base.Scenarios[1].AllocsPerPoint, cur.Scenarios[1].AllocsPerPoint = 64, 63
+	regs, _, err := Compare(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(regs) != 1 || regs[0].ID != "a" || regs[0].Metric != "allocs/point" {
-		t.Fatalf("regressions: %+v", regs)
-	}
-	if regs[0].Ratio < 1.49 || regs[0].Ratio > 1.51 {
-		t.Fatalf("ratio = %v", regs[0].Ratio)
-	}
-}
-
-// TestCompareAllocNoiseFloor: a baseline below AllocNoiseFloor is never
-// gated on allocations, however big the ratio — one stray runtime
-// allocation would otherwise fail builds at random.
-func TestCompareAllocNoiseFloor(t *testing.T) {
-	base := allocReport(map[string]uint64{"a": AllocNoiseFloor - 1})
-	cur := allocReport(map[string]uint64{"a": 100 * AllocNoiseFloor})
-	regs, err := Compare(base, cur, 0.30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 0 {
-		t.Fatalf("sub-floor alloc count gated: %+v", regs)
+	want := []Regression{{ID: "a", Metric: "allocs/point", Base: 64, Cur: 65}}
+	if !reflect.DeepEqual(regs, want) {
+		t.Fatalf("regressions = %+v, want %+v", regs, want)
 	}
 }
 
@@ -400,7 +391,7 @@ func writeFile(path, content string) error {
 
 func TestCompareWorkloadMismatch(t *testing.T) {
 	mk := func(mut func(*Report)) *Report {
-		r := report(map[string]int64{"a": 1000})
+		r := report(map[string]uint64{"a": 1000})
 		mut(r)
 		return r
 	}
@@ -410,107 +401,8 @@ func TestCompareWorkloadMismatch(t *testing.T) {
 		"workers": mk(func(r *Report) { r.Workers = 4 }),
 		"seed":    mk(func(r *Report) { r.Seed = 99 }),
 	} {
-		if _, err := Compare(base, cur, 0.30); err == nil {
+		if _, _, err := Compare(base, cur); err == nil {
 			t.Fatalf("%s mismatch accepted", name)
-		}
-	}
-}
-
-func TestRunOverheadPairsArms(t *testing.T) {
-	rep, err := RunOverhead(toyScenarios(), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Scale != "quick" || rep.Workers != 1 || rep.Repeats != DefaultRepeats {
-		t.Fatalf("report header: %+v", rep)
-	}
-	if len(rep.Results) != 2 {
-		t.Fatalf("got %d results, want 2", len(rep.Results))
-	}
-	toy := rep.Results[0]
-	if toy.ID != "toy" || toy.Points != 2 {
-		t.Fatalf("toy result: %+v", toy)
-	}
-	if toy.UntracedCPUNSPerPoint <= 0 || toy.TracedCPUNSPerPoint <= 0 || toy.Ratio <= 0 {
-		t.Fatalf("arms not measured: %+v", toy)
-	}
-	// Toy scenarios finish in microseconds — far under the noise floor,
-	// so they must be recorded but excluded from the gate.
-	for _, r := range rep.Results {
-		if r.Gated {
-			t.Fatalf("%s gated below the noise floor: %+v", r.ID, r)
-		}
-	}
-}
-
-func TestRunOverheadRejectsBadConfig(t *testing.T) {
-	cfg := testConfig()
-	cfg.Repeats = -1
-	if _, err := RunOverhead(toyScenarios(), cfg); err == nil {
-		t.Fatal("negative repeats accepted")
-	}
-	cfg = testConfig()
-	cfg.Workers = -1
-	if _, err := RunOverhead(toyScenarios(), cfg); err == nil {
-		t.Fatal("negative workers accepted")
-	}
-}
-
-// spin burns a fixed amount of CPU work (not a fixed wall time, which a
-// preempted loop would stretch without using more CPU).
-func spin(rounds int) uint64 {
-	x := uint64(88172645463325252)
-	for i := 0; i < rounds; i++ {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-	}
-	return x
-}
-
-// sink keeps spin's result live.
-var sink uint64
-
-// armScenario is a one-point scenario whose points do the same CPU work in
-// both arms, plus extra only in the traced arm: a sleep, or more work.
-func armScenario(tracedExtra func()) scenario.Scenario {
-	return scenario.Scenario{
-		ID: "arms", Title: "overhead arms", Artifact: "extension",
-		Summary: "benchmark fixture",
-		Params:  []scenario.ParamDoc{{Name: "x", Desc: "sweep coordinate"}},
-		XLabel:  "x", YLabel: "y",
-		Points: func(scenario.Scale) ([]scenario.Point, error) {
-			return []scenario.Point{{Series: "s", X: 1, Params: map[string]float64{"x": 1}}}, nil
-		},
-		RunPointCtx: func(ctx context.Context, _ scenario.Scale, pt scenario.Point) (scenario.Result, error) {
-			sink += spin(4_000_000)
-			if trace.ProviderFrom(ctx) != nil {
-				tracedExtra()
-			}
-			return scenario.Result{Y: pt.X}, nil
-		},
-	}
-}
-
-// TestRunOverheadMeasuresCPU: a traced arm that only waits costs no CPU
-// and passes a 15% gate however long it waits; one that computes twice as
-// much fails it.
-func TestRunOverheadMeasuresCPU(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		extra  func()
-		lo, hi float64
-	}{
-		{"sleeps", func() { time.Sleep(20 * time.Millisecond) }, 0, 1.15},
-		{"spins", func() { sink += spin(4_000_000) }, 1.15, 10},
-	} {
-		rep, err := RunOverhead([]scenario.Scenario{armScenario(tc.extra)}, testConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := rep.Results[0]
-		if !r.Gated || r.Ratio <= tc.lo || r.Ratio >= tc.hi {
-			t.Errorf("%s: ratio %.2f (gated %v), want in (%.2f, %.2f): %+v", tc.name, r.Ratio, r.Gated, tc.lo, tc.hi, r)
 		}
 	}
 }

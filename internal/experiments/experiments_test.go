@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"pbbf/internal/scenario"
+	"pbbf/internal/sim"
 	"pbbf/internal/stats"
+	"pbbf/internal/trace"
 )
 
 // runByID regenerates one registered scenario through the engine.
@@ -562,6 +564,38 @@ func TestPointResultsDependOnParamsAlone(t *testing.T) {
 			if got != po.Result {
 				t.Fatalf("%s: point %s: engine %+v, direct %+v", out.Scenario.ID, po.Point.Label(), po.Result, got)
 			}
+		}
+	}
+}
+
+// TestDiscardTraceIsNeutral: recording every event into trace.Discard
+// changes no output of any registry scenario and fires no extra kernel
+// event. A trace site that draws randomness, mutates simulation state or
+// schedules an event of its own fails here.
+func TestDiscardTraceIsNeutral(t *testing.T) {
+	s := scenario.Quick()
+	traced := trace.WithProvider(context.Background(), trace.DiscardProvider)
+	run := func(ctx context.Context, sc scenario.Scenario) ([]byte, uint64) {
+		fired := sim.TotalFired()
+		outs, err := scenario.RunAllCtx(ctx, []scenario.Scenario{sc}, s, scenario.RunOptions{Workers: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", sc.ID, err)
+		}
+		fired = sim.TotalFired() - fired
+		blob, err := json.Marshal(outs)
+		if err != nil {
+			t.Fatalf("%s: %v", sc.ID, err)
+		}
+		return blob, fired
+	}
+	for _, sc := range Registry().All() {
+		plain, plainFired := run(context.Background(), sc)
+		got, gotFired := run(traced, sc)
+		if !bytes.Equal(plain, got) {
+			t.Errorf("%s: tracing into Discard changed the output", sc.ID)
+		}
+		if plainFired != gotFired {
+			t.Errorf("%s: %d kernel events untraced, %d traced", sc.ID, plainFired, gotFired)
 		}
 	}
 }

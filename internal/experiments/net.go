@@ -110,7 +110,7 @@ func runNetPoint(ctx context.Context, s Scale, params core.Params, delta float64
 	pools := acquirePools()
 	defer releasePools(pools)
 	// A context-carried trace provider hands out one sink per run — the
-	// `pbbf trace` subcommand and the bench overhead gate. No provider
+	// `pbbf trace` subcommand and the trace-neutrality test. No provider
 	// (every sweep/serve path) leaves every MAC.Trace nil.
 	tracer := trace.ProviderFrom(ctx)
 	point := &netPoint{

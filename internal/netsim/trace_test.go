@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pbbf/internal/protocol"
 	"pbbf/internal/raceflag"
 	"pbbf/internal/trace"
 )
@@ -48,36 +49,43 @@ func TestTraceNeutrality(t *testing.T) {
 
 // TestTraceNilSinkAllocFree: the nil-sink fast path must add zero
 // allocations — a steady-state pooled run with tracing disabled allocates
-// exactly as much as one recording into the global Discard sink, and both
-// stay inside the pooled kernel's per-run budget. Events are passed by
-// value through a pre-bound sink interface, so the instrumentation itself
-// never touches the heap.
+// exactly as much as one recording into the global Discard sink. Events
+// are passed by value through a pre-bound sink interface, so the
+// instrumentation itself never touches the heap. Each protocol's hooks and
+// the churn path have trace sites of their own, so each gets a config.
 func TestTraceNilSinkAllocFree(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; alloc counts are meaningless under -race")
 	}
-	cfg := poolTestConfigs(t)[0]
-	pool := NewRunPool()
-	if _, err := pool.Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	nilAllocs := testing.AllocsPerRun(5, func() {
-		if _, err := pool.Run(cfg); err != nil {
-			t.Fatal(err)
+	cfgs := poolTestConfigs(t)
+	sleep, ola := cfgs[0], cfgs[0]
+	sleep.MAC.Protocol = protocol.Spec{Name: protocol.NameSleepSched}
+	ola.MAC.Protocol = protocol.Spec{Name: protocol.NameOLA, RelayThreshold: 10}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"pbbf", cfgs[0]},
+		{"sleepsched", sleep},
+		{"ola", ola},
+		{"churn", cfgs[3]},
+	} {
+		pool := NewRunPool()
+		allocs := func(cfg Config) float64 {
+			if _, err := pool.Run(cfg); err != nil { // warm the pool
+				t.Fatal(err)
+			}
+			return testing.AllocsPerRun(5, func() {
+				if _, err := pool.Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
-	})
-	traced := cfg
-	traced.MAC.Trace = trace.Discard
-	if _, err := pool.Run(traced); err != nil {
-		t.Fatal(err)
-	}
-	discardAllocs := testing.AllocsPerRun(5, func() {
-		if _, err := pool.Run(traced); err != nil {
-			t.Fatal(err)
+		traced := tc.cfg
+		traced.MAC.Trace = trace.Discard
+		if nilAllocs, discardAllocs := allocs(tc.cfg), allocs(traced); nilAllocs != discardAllocs {
+			t.Errorf("%s: tracing machinery allocates: %.0f allocs/run untraced vs %.0f with the discard sink",
+				tc.name, nilAllocs, discardAllocs)
 		}
-	})
-	if nilAllocs != discardAllocs {
-		t.Errorf("tracing machinery allocates: %.0f allocs/run untraced vs %.0f with the discard sink",
-			nilAllocs, discardAllocs)
 	}
 }

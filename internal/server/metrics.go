@@ -156,7 +156,7 @@ func (s *Server) writeServingMetrics(b *strings.Builder) {
 	fmt.Fprintf(b, "# HELP pbbf_cache_evictions_total Memory-tier LRU evictions.\n# TYPE pbbf_cache_evictions_total counter\npbbf_cache_evictions_total %d\n", cs.Evictions)
 	fmt.Fprintf(b, "# HELP pbbf_cache_entries Memory-tier resident entries.\n# TYPE pbbf_cache_entries gauge\npbbf_cache_entries %d\n", cs.Entries)
 
-	fmt.Fprintf(b, "# HELP pbbf_flight_computes_total Point computations actually run (store misses that led a flight).\n# TYPE pbbf_flight_computes_total counter\npbbf_flight_computes_total %d\n", s.flight.Computes())
+	fmt.Fprintf(b, "# HELP pbbf_flight_computes_total Store misses that led a flight and called compute; a repeated point counts here though it reuses its leader's simulation.\n# TYPE pbbf_flight_computes_total counter\npbbf_flight_computes_total %d\n", s.flight.Computes())
 	fmt.Fprintf(b, "# HELP pbbf_flight_joins_total Requests that joined another caller's in-flight computation.\n# TYPE pbbf_flight_joins_total counter\npbbf_flight_joins_total %d\n", s.flight.Joins())
 	fmt.Fprintf(b, "# HELP pbbf_points_inflight Point computations running right now.\n# TYPE pbbf_points_inflight gauge\npbbf_points_inflight %d\n", s.flight.Active())
 

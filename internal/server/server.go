@@ -465,7 +465,9 @@ type statsResponse struct {
 
 // flightStats snapshots the singleflight layer.
 type flightStats struct {
-	// Computes counts simulations actually run (store misses that led).
+	// Computes counts store misses that led a flight and called compute. A
+	// repeated point counts here although it reuses its leader's
+	// simulation.
 	Computes uint64 `json:"computes"`
 	// Joins counts requests that shared another caller's computation.
 	Joins uint64 `json:"joins"`

@@ -88,7 +88,9 @@ func (f *Flight) Do(key string, compute func() (scenario.Result, error), beforeW
 // Joins counts callers that shared another caller's in-flight computation.
 func (f *Flight) Joins() uint64 { return f.joins.Load() }
 
-// Computes counts computations actually run (store misses that led).
+// Computes counts the compute calls the flight made: store misses that led
+// a flight. A repeated point of a plan counts here although its compute
+// returns its leader's result without simulating.
 func (f *Flight) Computes() uint64 { return f.computes.Load() }
 
 // Active is the number of computations running right now — the in-flight

@@ -2,7 +2,8 @@
 // compact event record, a Sink interface the netsim/mac/phy hot path
 // writes through, and in-memory sinks (slab, discard) for the
 // consumers — the `pbbf trace` subcommand, protocol-behavior regression
-// tests, and the bench overhead gate.
+// tests, and the neutrality and allocation tests that run every scenario
+// recording into Discard.
 //
 // The contract with the hot path is zero overhead when disabled: every
 // instrumentation site guards on a nil sink, events are plain structs
@@ -173,13 +174,14 @@ type Slab struct {
 // Record implements Sink.
 func (s *Slab) Record(ev Event) { s.Events = append(s.Events, ev) }
 
-// discard is the counting no-op sink behind Discard.
+// discard is the no-op sink behind Discard: it keeps and counts nothing.
 type discard struct{}
 
 func (discard) Record(Event) {}
 
-// Discard accepts and drops every event: the sink the bench overhead
-// gate uses to measure the cost of tracing itself.
+// Discard accepts and drops every event: the sink that exercises every
+// trace site at no cost of its own, so tests can check that recording
+// changes no result and allocates nothing.
 var Discard Sink = discard{}
 
 // AppendNDJSON appends one event as a single NDJSON line (including the
@@ -247,8 +249,8 @@ type discardProvider struct{}
 func (discardProvider) BeginRun(int) Sink { return Discard }
 
 // DiscardProvider traces every run into the Discard sink — full
-// instrumentation cost, no retention. The bench overhead gate runs with
-// this provider to bound the ns/point cost of tracing.
+// instrumentation cost, no retention. The trace-neutrality test runs every
+// scenario under it.
 var DiscardProvider Provider = discardProvider{}
 
 // ctxKey carries the Provider through a context.
